@@ -208,20 +208,13 @@ def test_incremental_beats_rebuild():
     )
 
 
-# -- vectorised kernels (backend="numpy") ----------------------------------------
+# -- columnar metric kernels ------------------------------------------------------
 #
-# The numpy backend's committed wins and non-wins, measured honestly:
-#
-# * metric accumulation (ResultColumns + np.add.accumulate reductions) beats
-#   the scalar objective loops by well over an order of magnitude at grid
-#   scale — the acceptance bar below asserts >= 5x with a wide margin;
-# * the dense 2-D first-fit kernel answers a whole batch in one shot and is
-#   bit-identical, but the block-max-indexed scalar scan *wins* at
-#   simulation-sized profiles (tens to hundreds of segments) — the same
-#   NumPy-per-call-overhead finding recorded for PR 4, now extended to the
-#   batched form.  Its timing is tracked so either kernel regressing is
-#   caught; the simulator's per-decision scans stay scalar (see the
-#   decision record in docs/architecture.md).
+# Metric accumulation (ResultColumns + np.add.accumulate reductions) beats
+# the scalar objective loops by well over an order of magnitude at grid
+# scale — the acceptance bar below asserts >= 5x with a wide margin.  It is
+# the one place the simulator uses numpy (see the "One event loop" decision
+# record in docs/architecture.md).
 
 _METRIC_N = 100_000
 
@@ -331,7 +324,7 @@ def test_scenario_compile_overhead_under_5pct():
     cell's simulation time (and the engine compiles once per *grid*, not
     per cell, so the real overhead is a further ~13x smaller)."""
     from repro.core.machine import Machine
-    from repro.core.simulator import SimulationConfig, Simulator
+    from repro.core.simulator import Simulator
     from repro.schedulers.registry import build_scheduler, registered_configurations
 
     jobs = _bench_jobs()
@@ -339,11 +332,7 @@ def test_scenario_compile_overhead_under_5pct():
     config = next(c for c in registered_configurations() if c.key == "fcfs/easy")
 
     def cell():
-        return Simulator(
-            Machine(256),
-            build_scheduler(config, 256),
-            SimulationConfig(backend="python"),
-        ).run(jobs)
+        return Simulator(Machine(256), build_scheduler(config, 256)).run(jobs)
 
     compile_time = _best_of(lambda: spec.compile(jobs))
     cell_time = _best_of(cell)
@@ -355,43 +344,6 @@ def test_scenario_compile_overhead_under_5pct():
     assert ratio < 0.05, (
         f"scenario compile is {ratio * 100:.1f}% of cell runtime (bar: 5%)"
     )
-
-
-def test_vector_first_fit_batch(benchmark):
-    """The 2-D numpy first-fit kernel: timed, and pinned to the oracle."""
-    profile = build_profile(300)
-    rng = random.Random(1)
-    requests = [
-        (rng.randint(1, 256), rng.uniform(10.0, 5000.0)) for _ in range(500)
-    ]
-    starts = benchmark(vector.earliest_start_batch, profile, requests)
-    assert starts == profile.earliest_start_batch(requests)
-
-
-def test_backend_end_to_end(benchmark):
-    """Whole-simulation wall clock on the numpy backend, pinned bit-identical
-    to the python oracle."""
-    from repro.core.machine import Machine
-    from repro.core.simulator import SimulationConfig, Simulator
-    from repro.schedulers.registry import build_scheduler, registered_configurations
-
-    jobs = _bench_jobs()
-    config = next(
-        c for c in registered_configurations() if c.key == "fcfs/easy"
-    )
-
-    def run(backend):
-        return Simulator(
-            Machine(256),
-            build_scheduler(config, 256),
-            SimulationConfig(backend=backend),
-        ).run(jobs)
-
-    fast = benchmark(run, "numpy")
-    oracle = run("python")
-    assert [
-        (i.job.job_id, i.start_time, i.end_time) for i in fast.schedule
-    ] == [(i.job.job_id, i.start_time, i.end_time) for i in oracle.schedule]
 
 
 # -- script mode: JSON baseline for the CI perf-smoke gate -----------------------
@@ -436,9 +388,9 @@ def collect_measurements(rounds: int = 5) -> dict[str, float]:
     columns = vector.ResultColumns.from_schedule(items)
     jobs = _bench_jobs()
 
-    def end_to_end(backend):
+    def simulate_easy():
         from repro.core.machine import Machine
-        from repro.core.simulator import SimulationConfig, Simulator
+        from repro.core.simulator import Simulator
         from repro.schedulers.registry import (
             build_scheduler,
             registered_configurations,
@@ -447,18 +399,12 @@ def collect_measurements(rounds: int = 5) -> dict[str, float]:
         config = next(
             c for c in registered_configurations() if c.key == "fcfs/easy"
         )
-        return lambda: Simulator(
-            Machine(256),
-            build_scheduler(config, 256),
-            SimulationConfig(backend=backend),
-        ).run(jobs)
+        Simulator(Machine(256), build_scheduler(config, 256)).run(jobs)
 
     scalar_awrt = _best_of(lambda: average_weighted_response_time(items), rounds)
     vector_awrt = _best_of(
         lambda: vector.average_weighted_response_time_columns(columns), rounds
     )
-    simulate_python = _best_of(end_to_end("python"), rounds)
-    simulate_numpy = _best_of(end_to_end("numpy"), rounds)
     return {
         "earliest_start_500_queries": _best_of(scalar_queries, rounds),
         "earliest_start_batch_500": _best_of(
@@ -468,31 +414,22 @@ def collect_measurements(rounds: int = 5) -> dict[str, float]:
         "incremental_state_replay": _best_of(
             lambda: _replay_incremental(trace), rounds
         ),
-        # PR 6: the numpy backend's kernels.  The two *_100k timings are the
+        # The columnar metric kernels.  The two *_100k timings are the
         # columnar AWRT reduction vs the scalar objective loop on the same
         # 100k-item schedule; their ratio is gated >= 10x (see the
         # `_reduction_x` rule in check_regression.py — measured ~35x).
         "metric_scalar_awrt_100k": scalar_awrt,
         "metric_vector_awrt_100k": vector_awrt,
         "metric_kernel_reduction_x": scalar_awrt / vector_awrt,
-        "vector_first_fit_batch_500": _best_of(
-            lambda: vector.earliest_start_batch(profile, requests), rounds
-        ),
-        # PR 7: the scenario algebra.  Compiling a full multi-phase spec
+        # The scenario algebra.  Compiling a full multi-phase spec
         # (surge + variability + cancellations + MTBF failures) against a
         # 1000-event stream; bounded < 5% of a cell's simulation time by
         # test_scenario_compile_overhead_under_5pct.
         "scenario_compile_per_1k_events": _best_of(
             lambda: _bench_spec().compile(jobs), rounds
         ),
-        "simulate_easy_1k_python": simulate_python,
-        "simulate_easy_1k_numpy": simulate_numpy,
-        # PR 9: event coalescing.  The whole-cell speedup of the numpy
-        # backend over the python oracle on the same host run — a ratio of
-        # two same-regime timings, so it gates the fast path's relative win
-        # independent of host speed drift (the `_speedup_x` floor rule in
-        # check_regression.py).
-        "simulate_easy_1k_speedup_x": simulate_python / simulate_numpy,
+        # One whole fcfs/easy cell over a 1k-job backlogged stream.
+        "simulate_easy_1k": _best_of(simulate_easy, rounds),
     }
 
 

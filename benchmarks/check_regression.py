@@ -7,9 +7,9 @@ Usage::
 Timing entries may regress up to ``--max-ratio`` (default 3x — CI runners
 are noisy; the gate catches melts, not jitter).  Byte counts and ratio
 factors are structural, so they get hard bounds: dispatch payload byte
-counts must not grow at all beyond rounding, ``per_cell_reduction_x`` must
-stay >= 10 (the workload-store acceptance bar), and ``*_speedup_x`` whole-
-simulation ratios must stay >= 1.2 (the event-coalescing acceptance bar).
+counts must not grow at all beyond rounding, and ``*_reduction_x``
+factors must stay >= 10 (the workload-store and metric-kernel acceptance
+bars).
 """
 
 from __future__ import annotations
@@ -21,13 +21,6 @@ from pathlib import Path
 
 #: Structural lower bound enforced on reduction factors.
 MIN_REDUCTION_X = 10.0
-
-#: Floor enforced on ``*_speedup_x`` ratio keys.  These divide two timings
-#: from the same host run (fast path over oracle), so host speed cancels
-#: out — but they compare *whole simulations* where only part of the work
-#: is accelerated, so the bar is far lower than the kernel-reduction bar.
-#: Measured ~1.65x for `simulate_easy_1k_speedup_x`; 1.2 leaves CI headroom.
-MIN_SPEEDUP_X = 1.2
 
 
 def _is_timing(name: str) -> bool:
@@ -71,11 +64,6 @@ def compare(
             if value < MIN_REDUCTION_X:
                 problems.append(
                     f"{name}: {value:.1f}x is below the {MIN_REDUCTION_X:g}x bar"
-                )
-        elif name.endswith("_speedup_x"):
-            if value < MIN_SPEEDUP_X:
-                problems.append(
-                    f"{name}: {value:.2f}x is below the {MIN_SPEEDUP_X:g}x bar"
                 )
         elif "bytes_per_cell" in name:
             # Dispatch payloads are deterministic; allow 1% for pickle

@@ -18,38 +18,30 @@ import sys
 import tempfile
 from pathlib import Path
 
-from repro.experiments.engine import (
-    ExperimentEngine,
-    FailureScenario,
-    ResultCache,
-)
+from repro.experiments.engine import ExperimentEngine, ResultCache
 from repro.experiments.journal import list_runs, verify_run
 from repro.experiments.paper import probabilistic_workload
 from repro.experiments.runner import SchedulerConfig
-from repro.failures.trace import FailureTrace, NodeFailure, mtbf_trace
+from repro.scenarios import FailureModel, ScenarioSpec
 
 TOTAL_NODES = 256
 
 
-def scenarios() -> list[FailureScenario]:
-    outage = FailureTrace(
-        [
-            NodeFailure(down_time=2_000.0, up_time=12_000.0, nodes=64),
-            NodeFailure(down_time=30_000.0, up_time=40_000.0, nodes=32),
-        ]
+def scenarios() -> dict[str, ScenarioSpec | None]:
+    outage = FailureModel(
+        trace=((2_000.0, 12_000.0, 64), (30_000.0, 40_000.0, 32)),
+        recovery="resubmit",
     )
-    drizzle = mtbf_trace(
-        total_nodes=TOTAL_NODES, horizon=60_000.0, mtbf=400_000.0,
-        mttr=3_000.0, seed=17, max_nodes_per_failure=32,
+    drizzle = FailureModel(
+        mtbf=400_000.0, mttr=3_000.0, horizon=60_000.0, seed=17,
+        max_nodes_per_failure=32, total_nodes=TOTAL_NODES,
+        recovery="checkpoint:interval=600,overhead=30",
     )
-    return [
-        FailureScenario("healthy"),
-        FailureScenario("outage", failures=outage, recovery="resubmit"),
-        FailureScenario(
-            "drizzle", failures=drizzle,
-            recovery="checkpoint:interval=600,overhead=30",
-        ),
-    ]
+    return {
+        "healthy": None,
+        "outage": ScenarioSpec((outage,)),
+        "drizzle": ScenarioSpec((drizzle,)),
+    }
 
 
 def main() -> int:
@@ -69,7 +61,7 @@ def main() -> int:
         engine = ExperimentEngine(
             workers=2, cache=cache_dir, on_event=capture, handle_signals=False
         )
-        grids = engine.run_failure_scenarios(
+        grids = engine.run_scenarios(
             jobs, scenarios(), total_nodes=TOTAL_NODES, configs=configs,
         )
         print(f"swept {len(grids)} scenario grid(s), {len(run_ids)} run id(s)")
@@ -82,13 +74,13 @@ def main() -> int:
             resume_engine = ExperimentEngine(
                 workers=1, cache=cache_dir, handle_signals=False
             )
-            scenario = next(
-                s for s in scenarios() if f"[{s.name}]" in name
+            spec = next(
+                spec for key, spec in scenarios().items() if f"[{key}]" in name
             )
             resume_engine.resume(
                 run_id, jobs,
                 workload_name=name, total_nodes=TOTAL_NODES, configs=configs,
-                failures=scenario.failures, recovery=scenario.recovery,
+                scenario=spec,
             )
             stats = resume_engine.stats
             if stats.simulated != 0 or stats.cache_hits != len(configs):

@@ -27,11 +27,10 @@ Quickstart::
     from repro.metrics import average_response_time
 
     jobs = cap_nodes(ctc_like_workload(n_jobs=1000, seed=42), 256)
-    # backend="auto" (the default) picks the numpy-vectorised kernels when
-    # numpy is importable; results are bit-identical to backend="python".
-    config = SimulationConfig(backend="auto")
+    # SimulationConfig holds the run options (over-limit kills, decision-
+    # point traces, state verification); its defaults reproduce the paper.
     result = simulate(jobs, FCFSScheduler.with_easy(), total_nodes=256,
-                      config=config)
+                      config=SimulationConfig())
     print(average_response_time(result.schedule))
 
 Disturbances compose declaratively in a ``ScenarioSpec`` (the compiled
@@ -55,8 +54,6 @@ from repro.core import (
     SimulationResult,
     Simulator,
     ValidityError,
-    available_backends,
-    resolve_backend,
 )
 from repro.core.simulator import simulate
 from repro.schedulers import (
@@ -103,12 +100,10 @@ __all__ = [
     "Simulator",
     "ValidityError",
     "__version__",
-    "available_backends",
     "build_scheduler",
     "paper_configurations",
     "register_discipline",
     "register_row",
     "registered_configurations",
-    "resolve_backend",
     "simulate",
 ]

@@ -30,7 +30,6 @@ from repro.core.simulator import (
     Simulator,
 )
 from repro.core.state import SchedulingState, StateDivergenceError
-from repro.core.vector import available_backends, resolve_backend
 
 __all__ = [
     "AvailabilityProfile",
@@ -49,6 +48,4 @@ __all__ = [
     "Simulator",
     "StateDivergenceError",
     "ValidityError",
-    "available_backends",
-    "resolve_backend",
 ]

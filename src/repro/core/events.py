@@ -21,7 +21,10 @@ from __future__ import annotations
 import enum
 import heapq
 from dataclasses import dataclass, field
-from typing import Any
+from typing import TYPE_CHECKING, Any, Sequence
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.core.job import Job
 
 
 class EventKind(enum.IntEnum):
@@ -62,13 +65,13 @@ class Event:
 class EventQueue:
     """A binary-heap priority queue of :class:`Event` objects.
 
-    ``start_sequence`` offsets the insertion counter: the numpy backend
-    keeps the N original submissions *outside* the heap (pre-sorted
-    arrival arrays merged by :class:`repro.core.vector.MergedEventFeed`)
-    and reserves the virtual sequences ``0..N-1`` for them, so every
-    event actually pushed here — cancellations, completions, rerun
-    submissions — orders after a same-time, same-kind arrival exactly as
-    it would have in the oracle's all-heap ordering.
+    ``start_sequence`` offsets the insertion counter: the simulator keeps
+    the N original submissions *outside* the heap (a pre-sorted arrival
+    list merged by :class:`MergedEventFeed`) and reserves the virtual
+    sequences ``0..N-1`` for them, so every event actually pushed here —
+    cancellations, completions, rerun submissions — orders after a
+    same-time, same-kind arrival exactly as it would in one all-heap
+    ordering.
     """
 
     __slots__ = ("_heap", "_sequence")
@@ -96,56 +99,68 @@ class EventQueue:
         """Time of the earliest event.  Raises ``IndexError`` if empty."""
         return self._heap[0].time
 
-    def pop_next(self) -> tuple[EventKind, Any]:
-        """Remove the earliest event, returning its ``(kind, payload)``.
-
-        The simulator's dispatch interface, shared with
-        :class:`repro.core.vector.MergedEventFeed` so both backends drive
-        one event loop.
-        """
-        event = heapq.heappop(self._heap)
-        return event.kind, event.payload
-
-    def take_completion_run(
-        self, bound: float | None
-    ) -> tuple[list[Event], int]:
-        """Pop the maximal run of completion events below ``bound``.
-
-        The run-extraction primitive of the simulator's empty-queue drain
-        fast path: consumes consecutive ``COMPLETION`` events whose times
-        are strictly before ``bound`` (the next pending arrival instant;
-        ``None`` means unbounded) and returns ``(events, closed_instants)``.
-
-        ``closed_instants`` counts the distinct instants in the run that
-        the run itself *closes* — instants at which no further event is
-        pending.  When the run stops because a non-completion heap event
-        shares the last consumed instant, that instant stays open (the
-        caller's per-event loop will finish its batch and count its
-        decision point), so it is excluded from the count.  Completions at
-        exactly ``bound`` are never consumed: they belong to the arrival's
-        batch.
-        """
-        heap = self._heap
-        out: list[Event] = []
-        closed = 0
-        last: float | None = None
-        while heap:
-            event = heap[0]
-            if event.kind is not EventKind.COMPLETION:
-                if last is not None and event.time == last:
-                    closed -= 1
-                break
-            if bound is not None and event.time >= bound:
-                break
-            heapq.heappop(heap)
-            if event.time != last:
-                closed += 1
-                last = event.time
-            out.append(event)
-        return out, closed
-
     def __len__(self) -> int:
         return len(self._heap)
 
     def __bool__(self) -> bool:
         return bool(self._heap)
+
+
+_SUBMISSION = EventKind.SUBMISSION
+
+
+class MergedEventFeed:
+    """The simulator's event source: sorted arrivals merged with the heap.
+
+    The N original submissions never enter the heap: they are consumed
+    from a list pre-sorted by ``(submit_time, job_id)`` through a cursor.
+    Arrivals carry the virtual sequence numbers ``0..N-1`` — strictly
+    below every sequence ``events`` (constructed with
+    ``start_sequence=N``) will ever hand out — so the merge comparison
+    reduces to: at equal times, an arrival precedes every heap event whose
+    kind is ``SUBMISSION`` or later, and follows completions and node
+    events, exactly the ``(time, kind, sequence)`` total order of one heap
+    holding every event.  (Pushing all arrivals into the heap instead
+    measured slower at 5k jobs.)
+    """
+
+    __slots__ = ("_events", "_jobs", "_times", "_idx", "_n")
+
+    def __init__(self, events: EventQueue, jobs: "Sequence[Job]") -> None:
+        self._events = events
+        self._jobs = jobs
+        self._times = [job.submit_time for job in jobs]
+        self._idx = 0
+        self._n = len(jobs)
+
+    def __bool__(self) -> bool:
+        return self._idx < self._n or bool(self._events._heap)
+
+    def peek_time(self) -> float:
+        """Earliest pending instant across both sources."""
+        heap = self._events._heap
+        if self._idx >= self._n:
+            return heap[0].time
+        arrival = self._times[self._idx]
+        if not heap:
+            return arrival
+        event = heap[0].time
+        return arrival if arrival <= event else event
+
+    def pop_next(self) -> tuple[EventKind, Any]:
+        """Remove and return the earliest ``(kind, payload)`` pair."""
+        heap = self._events._heap
+        idx = self._idx
+        if idx < self._n:
+            if not heap:
+                self._idx = idx + 1
+                return _SUBMISSION, self._jobs[idx]
+            arrival = self._times[idx]
+            head = heap[0]
+            if arrival < head.time or (
+                arrival == head.time and head.kind >= _SUBMISSION
+            ):
+                self._idx = idx + 1
+                return _SUBMISSION, self._jobs[idx]
+        event = heapq.heappop(heap)
+        return event.kind, event.payload

@@ -307,8 +307,6 @@ class AvailabilityProfile:
         self,
         requests: Sequence[tuple[int, float]],
         after: float | None = None,
-        *,
-        backend: str | None = None,
     ) -> list[float]:
         """First-fit starts for many ``(nodes, duration)`` requests at once.
 
@@ -319,16 +317,7 @@ class AvailabilityProfile:
         batch of k queries costs far less than k :meth:`earliest_start`
         calls.  Results are exactly ``[self.earliest_start(n, d, after)
         for n, d in requests]``.
-
-        ``backend="numpy"`` routes the batch through the vectorised 2-D
-        kernel (:func:`repro.core.vector.earliest_start_batch`), which is
-        bit-identical by construction; any other value keeps the scalar
-        loop below.
         """
-        if backend == "numpy":
-            from repro.core import vector
-
-            return vector.earliest_start_batch(self, requests, after)
         times = self._times
         free = self._free
         n = len(times)

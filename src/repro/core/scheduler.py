@@ -27,8 +27,6 @@ from types import MappingProxyType
 from typing import TYPE_CHECKING, Mapping
 
 __all__ = [
-    "CoalescingCaps",
-    "NO_COALESCING",
     "RunningJob",
     "Scheduler",
     "SchedulerContext",
@@ -71,8 +69,6 @@ class SchedulerContext:
         "_now",
         "state",
         "_capacity_outages",
-        "queue_columns",
-        "vectorize",
     )
 
     def __init__(
@@ -89,18 +85,6 @@ class SchedulerContext:
         #: by the simulator; the profile fallback (no incremental state)
         #: reserves them so both paths plan on the same degraded machine.
         self._capacity_outages = capacity_outages if capacity_outages is not None else []
-        #: Columnar ``(nodes array, estimated-runtime array)`` view of the
-        #: wait queue the discipline is about to scan, parallel to the
-        #: ordered queue — or ``None``.  Set transiently by
-        #: :meth:`repro.schedulers.base.OrderedQueueScheduler.select_jobs`
-        #: when the order policy maintains columns; disciplines may use it
-        #: to vectorise candidate scans, never to change a decision.
-        self.queue_columns: "tuple[object, object] | None" = None
-        #: True when the driving loop runs the numpy backend: schedulers may
-        #: then use vectorised kernels internally.  Off by default so the
-        #: python backend remains a numpy-free oracle (decisions are
-        #: bit-identical either way — the vector-equivalence contract).
-        self.vectorize: bool = False
         self._now: float = state.now if state is not None else 0.0
 
     @property
@@ -170,45 +154,6 @@ class SchedulerContext:
         return self.state.queue_min_nodes(expected_count)
 
 
-@dataclass(frozen=True, slots=True)
-class CoalescingCaps:
-    """What the simulator's event coalescer may skip for a scheduler.
-
-    Each flag is a *behavioural guarantee* the scheduler makes about its own
-    decision procedure; the simulator's fast paths (see
-    ``docs/architecture.md``, "Event coalescing") only engage when the
-    corresponding guarantee holds.  All flags default to ``False`` — a
-    scheduler that says nothing is never coalesced, which keeps every
-    wrapper, regime switcher and exotic policy on the per-event oracle path
-    automatically.
-
-    ``blocked_arrivals``
-        If ``select_jobs`` just returned (reaching its fixpoint for the
-        current instant) and the only change since is newly *appended*
-        arrivals each requesting more nodes than are free, the next
-        ``select_jobs`` is guaranteed to return ``[]``.
-    ``idle_starts``
-        Work conservation on an empty queue: a lone arriving job that fits
-        the free nodes always starts immediately (``select_jobs`` would
-        return exactly the arrivals, in arrival order, when they all fit).
-    ``empty_drain``
-        With an empty wait queue, ``select_jobs`` / ``on_complete`` /
-        ``next_wakeup`` have no observable effect, so pure-completion
-        instants need no scheduler involvement at all.
-    """
-
-    blocked_arrivals: bool = False
-    idle_starts: bool = False
-    empty_drain: bool = False
-
-    def __bool__(self) -> bool:
-        return self.blocked_arrivals or self.idle_starts or self.empty_drain
-
-
-#: The default capability set: nothing may be coalesced.
-NO_COALESCING = CoalescingCaps()
-
-
 class Scheduler(abc.ABC):
     """Base class for on-line schedulers.
 
@@ -232,10 +177,10 @@ class Scheduler(abc.ABC):
         """A new job arrived; enqueue it."""
 
     def on_submit_run(self, jobs: "list[Job]", ctx: SchedulerContext) -> None:
-        """A coalesced run of arrivals (time-ordered).  Equivalent to
-        per-job :meth:`on_submit`; the simulator only uses it inside
-        capability-gated fast paths, and schedulers with bulk-appendable
-        queues may override it to hoist the per-job dispatch."""
+        """A time-ordered run of arrivals: per-job :meth:`on_submit`.
+
+        The simulator submits one job at a time; this helper serves
+        callers that hold a batch."""
         for job in jobs:
             self.on_submit(job, ctx)
 
@@ -264,12 +209,6 @@ class Scheduler(abc.ABC):
         means "wait for the next event".  Selected jobs must be removed
         from the scheduler's own queue before returning.
         """
-
-    def coalescing_caps(self) -> CoalescingCaps:
-        """Event-coalescing guarantees this scheduler makes (see
-        :class:`CoalescingCaps`).  The base default grants none; concrete
-        schedulers opt in per capability."""
-        return NO_COALESCING
 
     def next_wakeup(self, ctx: SchedulerContext) -> float | None:
         """Optional timer request, polled after each decision point.

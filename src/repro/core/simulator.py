@@ -18,10 +18,11 @@ its arrival instant — the behaviour of a real batch system where the
 resource manager processes its event queue in order.
 
 Jobs whose actual runtime exceeds the user limit can optionally be cancelled
-at the limit (``cancel_over_limit=True``), matching policy rule 2 of
-Example 5 ("If the execution of a job exceeds this upper limit, the job may
-be cancelled").  The paper's evaluation does not exercise cancellation (the
-CTC trace records realised runtimes), so the default is off.
+at the limit (``SimulationConfig(cancel_over_limit=True)``), matching policy
+rule 2 of Example 5 ("If the execution of a job exceeds this upper limit,
+the job may be cancelled").  The paper's evaluation does not exercise
+cancellation (the CTC trace records realised runtimes), so the default is
+off.
 
 Node failures (Section 2's "sudden failure of a hardware component") enter
 the loop as ``NODE_DOWN``/``NODE_UP`` events from a
@@ -38,19 +39,16 @@ so backfilling disciplines plan around it like any other commitment.
 from __future__ import annotations
 
 import time
-import warnings
-from heapq import heappop
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Any, Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
-from repro.core import vector
-from repro.core.events import EventKind, EventQueue
+from repro.core.events import EventKind, EventQueue, MergedEventFeed
 from repro.core.job import Job, validate_stream
 from repro.core.machine import Machine
 from repro.core.schedule import Schedule, ScheduledJob
 from repro.core.scheduler import RunningJob, Scheduler, SchedulerContext
 from repro.core.state import SchedulingState, verify_every_from_env
-from repro.core.vector import resolve_backend
+from repro.core.vector import ResultColumns
 
 if TYPE_CHECKING:  # pragma: no cover - typing only (failures imports core)
     from repro.failures.recovery import RecoveryPolicy
@@ -71,37 +69,23 @@ class Cancellation:
     job_id: int
 
 
-#: Sentinel distinguishing "keyword not passed" from every real value in the
-#: deprecated keyword shims below.
-_UNSET: Any = object()
-
-
 @dataclass(frozen=True, slots=True)
 class SimulationConfig:
     """How a :class:`Simulator` runs — everything that is not an input.
 
-    Collapses the former keyword tail of ``Simulator(...)`` into one
-    picklable bundle (the old keywords survive as deprecated shims).  The
-    fields change *how* a result is computed, never *what* it is: every
-    backend/state combination is bit-identical (the equivalence suites'
-    contract), which is why none of them enters a cache fingerprint.
-
-    ``backend`` selects the simulation kernels: ``"python"`` (the oracle),
-    ``"numpy"`` (the vectorised fast path of :mod:`repro.core.vector`),
-    ``"auto"`` (numpy when importable, else python) or ``None`` (the
-    default — consult the ``REPRO_BACKEND`` environment variable, then
-    auto).  The remaining fields keep their historical meanings (see the
-    :class:`Simulator` docstring).
+    One picklable bundle; see the :class:`Simulator` docstring for the
+    fields.  ``incremental_state``, ``verify_state`` and
+    ``profile_phases`` change *how* a result is computed, never *what* it
+    is (the state-equivalence suite's contract).
     """
 
-    backend: str | None = None
     cancel_over_limit: bool = False
     collect_trace: bool = False
     incremental_state: bool = True
     verify_state: int | None = None
     #: Collect the fine-grained per-phase wall-clock breakdown
     #: (``SimulationResult.phase_seconds`` gains ``events``/``commit``/
-    #: ``coalesce``/``other`` entries).  Off by default: the extra clock
+    #: ``other`` entries).  Off by default: the extra clock
     #: reads would tax the hot loop the breakdown exists to explain.
     profile_phases: bool = False
 
@@ -110,11 +94,10 @@ class SimulationConfig:
 class ScenarioInputs:
     """Fault-injection inputs of one run, bundled.
 
-    Collapses the former keyword tail of :meth:`Simulator.run` —
     ``cancellations`` (user withdrawals), ``failures`` (a
     :class:`~repro.failures.trace.FailureTrace`) and ``recovery`` (policy
-    object or spec string) — into one object that can be built once and
-    reused across runs, regimes and backends.
+    object or spec string), as one object that can be built once and
+    reused across runs and regimes.
     """
 
     cancellations: Sequence[Cancellation] = ()
@@ -163,22 +146,20 @@ class SimulationResult:
     #: start of their recovery attempt (0 for abandoned jobs).
     requeue_delay: float = 0.0
     #: Columnar numeric view of ``schedule`` (submit/start/end/area arrays
-    #: in completion order), accumulated by the numpy backend so objectives
-    #: reduce vectorised; ``None`` under the python backend.  Excluded from
-    #: equality — the backends' results compare equal without it.
-    columns: "vector.ResultColumns | None" = field(
-        default=None, compare=False, repr=False
+    #: in completion order), so objectives reduce with the exact NumPy
+    #: kernels of :mod:`repro.core.vector`.  Excluded from equality.
+    columns: ResultColumns = field(
+        default_factory=ResultColumns, compare=False, repr=False
     )
     #: Wall-clock seconds by simulator phase.  Always carries ``total``
     #: (whole run) and ``decide`` (== ``decision_time``); with
     #: ``SimulationConfig.profile_phases`` it adds ``events`` (per-event
     #: dispatch), ``commit`` (start/timer/stats bookkeeping after each
-    #: decision), ``coalesce`` (bulk fast paths) and ``other`` (the
-    #: remainder).  Excluded from equality — timings never affect results.
+    #: decision) and ``other`` (the remainder).  Excluded from equality —
+    #: timings never affect results.
     phase_seconds: dict = field(default_factory=dict, compare=False, repr=False)
-    #: Event-coalescing fast-path counters (all zero when coalescing never
-    #: engaged — the python oracle, traced runs, or incapable schedulers):
-    #: runs/jobs per path plus the decision points they bulk-advanced.
+    #: Always empty.  It held the counters of an event-coalescing fast path
+    #: the simulator no longer has; kept so readers of the field still work.
     coalesced: dict = field(default_factory=dict, compare=False, repr=False)
 
     @property
@@ -223,14 +204,8 @@ class Simulator:
     scheduler:
         Any :class:`~repro.core.scheduler.Scheduler`.
     config:
-        A :class:`SimulationConfig`; ``None`` means all defaults.  Its
-        fields keep their historical meanings:
+        A :class:`SimulationConfig`; ``None`` means all defaults:
 
-        * ``backend`` — simulation kernels (``"python"`` oracle /
-          ``"numpy"`` fast path / ``"auto"``; ``None`` consults
-          ``REPRO_BACKEND`` then auto-selects).  Resolved once at
-          construction, exposed as :attr:`backend`; both backends are
-          bit-identical (``tests/test_vector_equivalence.py``).
         * ``cancel_over_limit`` — kill jobs at their estimate when the
           actual runtime exceeds it (recorded ``cancelled=True``).
         * ``collect_trace`` — record queue length and free nodes at every
@@ -242,12 +217,7 @@ class Simulator:
         * ``verify_state`` — cross-check the incremental state against a
           fresh rebuild every N-th snapshot (0 disables; ``None`` reads
           ``REPRO_VERIFY_STATE``).
-    backend:
-        Convenience override for ``config.backend`` (the one config field
-        callers flip routinely); not deprecated.
-    cancel_over_limit, collect_trace, incremental_state, verify_state:
-        Deprecated keyword shims folding into ``config``; passing any of
-        them emits a :class:`DeprecationWarning`.
+        * ``profile_phases`` — collect the per-phase wall-clock breakdown.
     """
 
     def __init__(
@@ -255,69 +225,16 @@ class Simulator:
         machine: Machine,
         scheduler: Scheduler,
         config: SimulationConfig | None = None,
-        *,
-        backend: str | None = None,
-        cancel_over_limit: bool = _UNSET,
-        collect_trace: bool = _UNSET,
-        incremental_state: bool = _UNSET,
-        verify_state: int | None = _UNSET,
     ) -> None:
-        legacy = {
-            name: value
-            for name, value in (
-                ("cancel_over_limit", cancel_over_limit),
-                ("collect_trace", collect_trace),
-                ("incremental_state", incremental_state),
-                ("verify_state", verify_state),
-            )
-            if value is not _UNSET
-        }
-        if config is None:
-            config = SimulationConfig()
-        if legacy:
-            warnings.warn(
-                f"Simulator keyword(s) {', '.join(sorted(legacy))} are "
-                "deprecated; pass SimulationConfig(...) as the config "
-                "argument instead",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            config = replace(config, **legacy)
-        if backend is not None:
-            config = replace(config, backend=backend)
         self.machine = machine
         self.scheduler = scheduler
-        self.config = config
-        #: The concrete backend this simulator runs on ("python"/"numpy"),
-        #: resolved once (environment consulted, auto-fallback applied).
-        self.backend = resolve_backend(config.backend)
-        self.trace = _Trace() if config.collect_trace else None
-
-    # Read-only views of the config fields, for callers that inspected the
-    # former instance attributes.
-    @property
-    def cancel_over_limit(self) -> bool:
-        return self.config.cancel_over_limit
-
-    @property
-    def collect_trace(self) -> bool:
-        return self.config.collect_trace
-
-    @property
-    def incremental_state(self) -> bool:
-        return self.config.incremental_state
-
-    @property
-    def verify_state(self) -> int | None:
-        return self.config.verify_state
+        self.config = config if config is not None else SimulationConfig()
+        self.trace = _Trace() if self.config.collect_trace else None
 
     def run(
         self,
         jobs: Iterable[Job],
-        cancellations: Sequence[Cancellation] = _UNSET,
         *,
-        failures: "FailureTrace | None" = _UNSET,
-        recovery: "RecoveryPolicy | str | None" = _UNSET,
         scenario: ScenarioInputs | None = None,
     ) -> SimulationResult:
         """Simulate the whole stream and return the final schedule.
@@ -338,34 +255,8 @@ class Simulator:
           such as ``"abandon"`` or
           ``"checkpoint:interval=3600,overhead=60"``, or ``None`` for the
           default full resubmission.
-
-        The loose ``cancellations``/``failures``/``recovery`` keywords are
-        deprecated shims for the same inputs.
         """
-        legacy = {
-            name: value
-            for name, value in (
-                ("cancellations", cancellations),
-                ("failures", failures),
-                ("recovery", recovery),
-            )
-            if value is not _UNSET
-        }
-        if legacy:
-            warnings.warn(
-                f"Simulator.run keyword(s) {', '.join(sorted(legacy))} are "
-                "deprecated; pass ScenarioInputs(...) as scenario= instead",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            if scenario is not None:
-                raise TypeError(
-                    "pass either scenario=ScenarioInputs(...) or the "
-                    f"deprecated keyword(s) {', '.join(sorted(legacy))}, "
-                    "not both"
-                )
-            scenario = ScenarioInputs(**legacy)
-        cancel_over_limit = self.cancel_over_limit
+        cancel_over_limit = self.config.cancel_over_limit
         if scenario is None:
             scenario = ScenarioInputs()
         elif not isinstance(scenario, ScenarioInputs):
@@ -386,26 +277,14 @@ class Simulator:
         failures = scenario.failures
         recovery = scenario.recovery
 
-        backend = self.backend
-        stream: Sequence[Job]
-        if backend == "numpy":
-            # Pre-sorted arrival arrays: one lexsort instead of N heap
-            # pushes; duplicate ids fall back to the scalar validator for
-            # the canonical error.
-            stream, arrival_times, ids_unique = vector.sorted_stream(jobs)
-        else:
-            stream = sorted(jobs, key=lambda j: (j.submit_time, j.job_id))
+        stream = sorted(jobs, key=lambda j: (j.submit_time, j.job_id))
         if not stream:
             raise ValueError(
                 "cannot simulate an empty workload: no jobs, no events, no "
                 "schedule — use SimulationResult.empty() if a degenerate "
                 "stream is expected"
             )
-        if backend == "numpy":
-            if not ids_unique:
-                validate_stream(list(stream))
-        else:
-            validate_stream(list(stream))
+        validate_stream(stream)
         by_id = {job.job_id: job for job in stream}
         for job in stream:
             if not self.machine.can_ever_fit(job):
@@ -435,21 +314,12 @@ class Simulator:
 
         self.machine.reset()
         self.scheduler.reset()
-        # The numpy backend keeps the N original submissions out of the
-        # heap entirely: the sorted arrival arrays hold the virtual
-        # sequences 0..N-1 and the queue counter starts above them, so the
-        # merged (time, kind, sequence) order equals the oracle's heap
-        # order event for event.
-        events = EventQueue(
-            start_sequence=len(stream) if backend == "numpy" else 0
-        )
-        feed: "EventQueue | vector.MergedEventFeed"
-        columns: "vector.ResultColumns | None" = None
-        if backend == "numpy":
-            feed = vector.MergedEventFeed(events, stream, arrival_times)
-            columns = vector.ResultColumns()
-        else:
-            feed = events
+        # The N original submissions stay out of the heap: the feed merges
+        # the sorted stream (virtual sequences 0..N-1) with the heap, whose
+        # counter starts above them.
+        events = EventQueue(start_sequence=len(stream))
+        feed = MergedEventFeed(events, stream)
+        columns = ResultColumns()
         pending_timers: set[float] = set()
         running: dict[int, RunningJob] = {}
         state: SchedulingState | None = None
@@ -460,24 +330,18 @@ class Simulator:
                 else verify_every_from_env()
             )
             state = SchedulingState(
-                self.machine.total_nodes,
-                verify_every=verify_every,
-                backend=backend,
+                self.machine.total_nodes, verify_every=verify_every
             )
         active_outages: list[tuple[float, int]] = []
         ctx = SchedulerContext(
             self.machine, running, state=state, capacity_outages=active_outages
         )
-        ctx.vectorize = backend == "numpy"
         completed: list[ScheduledJob] = []
         decision_points = 0
         decision_time = 0.0
         max_queue = 0
         now = 0.0
 
-        if backend != "numpy":
-            for job in stream:
-                events.push(job.submit_time, EventKind.SUBMISSION, job)
         for cancel in cancellations:
             events.push(cancel.time, EventKind.CANCELLATION, cancel.job_id)
         if failures is not None:
@@ -505,32 +369,6 @@ class Simulator:
         wasted_node_seconds = 0.0
         requeue_delay = 0.0
 
-        # -- event coalescing (see docs/architecture.md) -----------------------
-        # Bulk-advance maximal runs of events that provably need no
-        # inter-event scheduler decision.  The scheduler opts in through
-        # its capability flags; only the numpy backend coalesces (the
-        # python oracle keeps the per-event loop, which is what the
-        # equivalence suites compare against), and tracing forces the
-        # per-event loop so the trace stays complete.
-        caps = self.scheduler.coalescing_caps()
-        coalesce = (
-            caps if backend == "numpy" and self.trace is None and caps else None
-        )
-        # A "pure" run has no cancellations and no failures: once the
-        # original arrivals are spent, the heap can only ever hold live
-        # COMPLETION events (no reruns, no kills, no timers under the
-        # capability contract) — licence for the backlogged-drain subloop
-        # below to skip the generic dispatch entirely.
-        pure_drain = coalesce is not None and policy is None and not cancellations
-        coalesced = {
-            "blocked_arrival_runs": 0,
-            "blocked_arrival_jobs": 0,
-            "idle_start_runs": 0,
-            "idle_start_jobs": 0,
-            "drain_runs": 0,
-            "drained_completions": 0,
-            "decision_points": 0,
-        }
         profile_phases = self.config.profile_phases
         # Hot-loop bindings: the loop below runs a few times per job, so the
         # repeated attribute walks are measurable at bench scale.  Every
@@ -542,229 +380,14 @@ class Simulator:
         feed_pop = feed.pop_next
         perf_counter = time.perf_counter
         run_clock_start = perf_counter()
-        coalesce_seconds = 0.0
         events_seconds = 0.0
         commit_seconds = 0.0
 
         while feed:
-            if coalesce is not None:
-                if profile_phases:
-                    t_coalesce = perf_counter()
-                pending_now = scheduler.pending_count
-                if pending_now:
-                    if pure_drain and feed.arrivals_exhausted:
-                        # Backlogged drain: arrivals spent, queue non-empty,
-                        # pure scenario.  Every heap event is a live
-                        # completion and every instant is a decision point,
-                        # so run the tight release→decide→commit loop with
-                        # the generic peek/dispatch machinery (and the
-                        # cancellation/failure bookkeeping a pure run never
-                        # reads) stripped out.  Identical decisions: each
-                        # iteration is exactly the generic body for a
-                        # completions-only batch under the capability
-                        # contract (no-op ``on_complete``, no wakeups, and
-                        # submissions — the only way the queue grows — never
-                        # happen, so the ``max_queue`` probe is dead too).
-                        if profile_phases:
-                            coalesce_seconds += perf_counter() - t_coalesce
-                        heap = events._heap
-                        pending = pending_now
-                        machine_release = machine.release
-                        machine_allocate = machine.allocate
-                        events_push = events.push
-                        completed_append = completed.append
-                        columns_append = columns.append
-                        if state is not None:
-                            state_on_release = state.on_release
-                            note_dequeued = state.note_dequeued
-                            state_on_start = state.on_start
-                            state_advance = state.advance
-                        else:
-                            state_on_release = None
-                            state_advance = None
-                        while heap and pending:
-                            if profile_phases:
-                                t_events = perf_counter()
-                            event = heappop(heap)
-                            t = event.time
-                            item = event.payload
-                            jid = item.job.job_id
-                            machine_release(jid)
-                            del running[jid]
-                            if state_on_release is not None:
-                                state_on_release(jid)
-                            completed_append(item)
-                            columns_append(item)
-                            while heap and heap[0].time == t:
-                                item = heappop(heap).payload
-                                jid = item.job.job_id
-                                machine_release(jid)
-                                del running[jid]
-                                if state_on_release is not None:
-                                    state_on_release(jid)
-                                completed_append(item)
-                                columns_append(item)
-                            now = t
-                            # Inlined ``ctx.now = t`` (slot write + state
-                            # advance) — the property dispatch is measurable
-                            # at this call rate.
-                            ctx._now = t
-                            if state_advance is not None:
-                                state_advance(t)
-                            decision_points += 1
-                            t_select = perf_counter()
-                            started = select_jobs(ctx)
-                            t_commit = perf_counter()
-                            decision_time += t_commit - t_select
-                            if profile_phases:
-                                events_seconds += t_select - t_events
-                            for job in started:
-                                cancelled = (
-                                    cancel_over_limit
-                                    and job.estimate is not None
-                                    and job.runtime > job.estimate
-                                )
-                                duration = job.estimate if cancelled else job.runtime
-                                item = ScheduledJob(
-                                    job=job,
-                                    start_time=t,
-                                    end_time=t + duration,
-                                    cancelled=cancelled,
-                                )
-                                machine_allocate(job)
-                                running[job.job_id] = RunningJob(
-                                    job=job, start_time=t
-                                )
-                                if state_on_release is not None:
-                                    note_dequeued(job.nodes)
-                                    state_on_start(
-                                        job.job_id, job.estimated_runtime, job.nodes
-                                    )
-                                events_push(item.end_time, EventKind.COMPLETION, item)
-                            pending -= len(started)
-                            if profile_phases:
-                                commit_seconds += perf_counter() - t_commit
-                        continue
-                    # Backlogged: arrivals strictly before the next heap
-                    # event and too wide for the free nodes can neither
-                    # start nor unblock anything (the discipline's
-                    # ``blocked_arrivals`` guarantee) — enqueue the whole
-                    # run without touching the decision machinery.
-                    if coalesce.blocked_arrivals and not resubmit_pending:
-                        run_jobs, run_times, closed = feed.take_blocked_arrivals(
-                            machine.free_nodes
-                        )
-                        if run_jobs:
-                            for job in run_jobs:
-                                current[job.job_id] = job
-                            if state is not None:
-                                state.note_enqueued_run(run_jobs)
-                            scheduler.on_submit_run(run_jobs, ctx)
-                            ctx.now = run_times[-1]
-                            decision_points += closed
-                            coalesced["blocked_arrival_runs"] += 1
-                            coalesced["blocked_arrival_jobs"] += len(run_jobs)
-                            coalesced["decision_points"] += closed
-                            queue_len = scheduler.pending_count
-                            if queue_len > max_queue:
-                                max_queue = queue_len
-                else:
-                    # Empty queue: alternate completion drains and
-                    # immediate starts until neither makes progress (a
-                    # light-load phase collapses into this inner loop).
-                    while feed:
-                        progressed = False
-                        if coalesce.empty_drain:
-                            run_events, closed = events.take_completion_run(
-                                feed.next_arrival_time()
-                            )
-                            if run_events:
-                                fresh: list[ScheduledJob] = []
-                                for event in run_events:
-                                    item = event.payload
-                                    jid = item.job.job_id
-                                    run_entry = running.get(jid)
-                                    if (
-                                        run_entry is None
-                                        or run_entry.start_time != item.start_time
-                                    ):
-                                        continue  # stale: a killed attempt
-                                    machine.release(jid)
-                                    del running[jid]
-                                    finished_ids.add(jid)
-                                    fresh.append(item)
-                                if fresh:
-                                    completed.extend(fresh)
-                                    if columns is not None:
-                                        columns.extend(fresh)
-                                    if state is not None:
-                                        state.on_release_batch(
-                                            [(f.end_time, f.job.job_id) for f in fresh]
-                                        )
-                                # ``on_complete`` is the base no-op under
-                                # the ``empty_drain`` capability.
-                                now = run_events[-1].time
-                                ctx.now = now
-                                decision_points += closed
-                                coalesced["drain_runs"] += 1
-                                coalesced["drained_completions"] += len(run_events)
-                                coalesced["decision_points"] += closed
-                                progressed = True
-                        if coalesce.idle_starts and not resubmit_pending:
-                            run_jobs, run_times, instants = feed.take_idle_starts(
-                                machine.free_nodes
-                            )
-                            if run_jobs:
-                                start_entries = []
-                                for job, start_t in zip(run_jobs, run_times):
-                                    jid = job.job_id
-                                    current[jid] = job
-                                    started_ids.add(jid)
-                                    if jid in killed_at:
-                                        requeue_delay += start_t - killed_at.pop(jid)
-                                    over = (
-                                        cancel_over_limit
-                                        and job.estimate is not None
-                                        and job.runtime > job.estimate
-                                    )
-                                    duration = job.estimate if over else job.runtime
-                                    item = ScheduledJob(
-                                        job=job,
-                                        start_time=start_t,
-                                        end_time=start_t + duration,
-                                        cancelled=over,
-                                    )
-                                    machine.allocate(job)
-                                    running[jid] = RunningJob(
-                                        job=job, start_time=start_t
-                                    )
-                                    start_entries.append(
-                                        (start_t, jid, job.estimated_runtime, job.nodes)
-                                    )
-                                    events.push(item.end_time, EventKind.COMPLETION, item)
-                                if state is not None:
-                                    # enqueue+dequeue of the same widths is
-                                    # state-neutral, so only the start
-                                    # deltas need committing.
-                                    state.on_start_batch(start_entries)
-                                now = run_times[-1]
-                                ctx.now = now
-                                decision_points += instants
-                                coalesced["idle_start_runs"] += 1
-                                coalesced["idle_start_jobs"] += len(run_jobs)
-                                coalesced["decision_points"] += instants
-                                progressed = True
-                        if not progressed:
-                            break
-                if profile_phases:
-                    coalesce_seconds += perf_counter() - t_coalesce
-                if not feed:
-                    break
             now = feed_peek()
             ctx.now = now
             if profile_phases:
                 t_events = perf_counter()
-            batch_enqueued = False
             # Batch every event at this instant; completions first by the
             # event-kind priority.
             while feed and feed_peek() == now:
@@ -785,12 +408,8 @@ class Simulator:
                         state.on_release(jid)
                     finished_ids.add(jid)
                     completed.append(item)
-                    if columns is not None:
-                        columns.append(item)
-                    if coalesce is None:
-                        # Coalescing capability implies the base (no-op)
-                        # ``on_complete`` — skip the call on the fast path.
-                        scheduler.on_complete(item.job, ctx)
+                    columns.append(item)
+                    scheduler.on_complete(item.job, ctx)
                 elif kind is EventKind.NODE_UP:
                     fail = payload
                     self.machine.repair_nodes(fail.nodes, now)
@@ -852,7 +471,6 @@ class Simulator:
                     if state is not None:
                         state.note_enqueued(job.nodes)
                     scheduler.on_submit(job, ctx)
-                    batch_enqueued = True
                 elif kind is EventKind.CANCELLATION:
                     job_id: int = payload
                     job = current.get(job_id, by_id[job_id])
@@ -872,8 +490,7 @@ class Simulator:
                             cancelled=True,
                         )
                         completed.append(item)
-                        if columns is not None:
-                            columns.append(item)
+                        columns.append(item)
                         self.scheduler.on_complete(job, ctx)
                     elif job_id in resubmit_pending:
                         # Killed by a failure, recovery attempt not yet
@@ -925,38 +542,27 @@ class Simulator:
                     state.on_start(job.job_id, job.estimated_runtime, job.nodes)
                 events.push(item.end_time, EventKind.COMPLETION, item)
 
-            if coalesce is None:
-                # Honour timer requests; only queue jobs justify a wake-up,
-                # so a drained scheduler cannot keep an otherwise-finished
-                # simulation alive forever.  Coalescing capability implies
-                # the base (None) ``next_wakeup``, so the probe is skipped
-                # on that path.
-                wake = scheduler.next_wakeup(ctx)
-                if (
-                    wake is not None
-                    and wake > now
-                    and wake not in pending_timers
-                    and (scheduler.pending_count > 0 or running)
-                ):
-                    pending_timers.add(wake)
-                    events.push(wake, EventKind.TIMER)
+            # Honour timer requests; only queue jobs justify a wake-up, so a
+            # drained scheduler cannot keep an otherwise-finished simulation
+            # alive forever.
+            wake = scheduler.next_wakeup(ctx)
+            if (
+                wake is not None
+                and wake > now
+                and wake not in pending_timers
+                and (scheduler.pending_count > 0 or running)
+            ):
+                pending_timers.add(wake)
+                events.push(wake, EventKind.TIMER)
 
-                try:
-                    queue_len = scheduler.pending_count
-                except NotImplementedError:  # pragma: no cover - exotic schedulers
-                    queue_len = 0
-                max_queue = max(max_queue, queue_len)
-                if self.trace is not None:
-                    self.trace.queue_lengths.append((now, queue_len))
-                    self.trace.free_nodes.append((now, machine.free_nodes))
-            elif batch_enqueued:
-                # The wait queue only ever grows inside ``on_submit``, so
-                # the peak queue length is always attained at a decision
-                # point whose batch carried a submission — completion-only
-                # drain decisions cannot raise it and skip the probe.
+            try:
                 queue_len = scheduler.pending_count
-                if queue_len > max_queue:
-                    max_queue = queue_len
+            except NotImplementedError:  # pragma: no cover - exotic schedulers
+                queue_len = 0
+            max_queue = max(max_queue, queue_len)
+            if self.trace is not None:
+                self.trace.queue_lengths.append((now, queue_len))
+                self.trace.free_nodes.append((now, machine.free_nodes))
             if profile_phases:
                 commit_seconds += perf_counter() - t_commit
 
@@ -978,14 +584,8 @@ class Simulator:
         if profile_phases:
             phase_seconds["events"] = events_seconds
             phase_seconds["commit"] = commit_seconds
-            phase_seconds["coalesce"] = coalesce_seconds
             phase_seconds["other"] = max(
-                0.0,
-                total_seconds
-                - events_seconds
-                - commit_seconds
-                - coalesce_seconds
-                - decision_time,
+                0.0, total_seconds - events_seconds - commit_seconds - decision_time
             )
 
         schedule = Schedule(completed)
@@ -1008,7 +608,6 @@ class Simulator:
             requeue_delay=requeue_delay,
             columns=columns,
             phase_seconds=phase_seconds,
-            coalesced=coalesced,
         )
 
     def _kill_for_failure(
@@ -1030,7 +629,7 @@ class Simulator:
         recovery_state: dict[int, tuple[float, float]],
         killed_at: dict[int, float],
         resubmit_pending: set[int],
-        columns: "vector.ResultColumns | None",
+        columns: ResultColumns,
     ) -> float:
         """Kill ``victim`` for a node failure; returns wasted node-seconds.
 
@@ -1068,8 +667,7 @@ class Simulator:
             # attempts, now useless) is wasted.
             finished_ids.add(job_id)
             completed.append(record)
-            if columns is not None:
-                columns.append(record)
+            columns.append(record)
             waste = (executed + saved) * nodes
         else:
             if outcome.resubmit_at < now:
@@ -1098,31 +696,8 @@ def simulate(
     *,
     config: SimulationConfig | None = None,
     scenario: ScenarioInputs | None = None,
-    backend: str | None = None,
-    cancellations: Sequence[Cancellation] = _UNSET,
-    failures: "FailureTrace | None" = _UNSET,
-    recovery: "RecoveryPolicy | str | None" = _UNSET,
-    **kwargs: object,
 ) -> SimulationResult:
-    """One-call convenience wrapper: build a machine, run, return the result.
-
-    ``config``/``scenario``/``backend`` are the current surface; the loose
-    ``cancellations``/``failures``/``recovery`` keywords (and any legacy
-    ``Simulator`` keyword in ``**kwargs``) pass through to the deprecated
-    shims, which emit the ``DeprecationWarning``.
-    """
-    simulator = Simulator(
-        Machine(total_nodes), scheduler, config, backend=backend, **kwargs  # type: ignore[arg-type]
+    """One-call convenience wrapper: build a machine, run, return the result."""
+    return Simulator(Machine(total_nodes), scheduler, config).run(
+        jobs, scenario=scenario
     )
-    legacy = {
-        name: value
-        for name, value in (
-            ("cancellations", cancellations),
-            ("failures", failures),
-            ("recovery", recovery),
-        )
-        if value is not _UNSET
-    }
-    if legacy:
-        return simulator.run(jobs, scenario=scenario, **legacy)  # type: ignore[arg-type]
-    return simulator.run(jobs, scenario=scenario)

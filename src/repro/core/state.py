@@ -33,10 +33,10 @@ guarantee is mechanical equivalence: schedules under the incremental state
 are bit-identical to the rebuild implementation, which
 ``tests/test_state_equivalence.py`` asserts over the whole registry.
 
-Verification mode (``REPRO_VERIFY_STATE=K`` or ``Simulator(...,
-verify_state=K)``) cross-checks every K-th snapshot against a fresh
-``from_running`` rebuild and raises :class:`StateDivergenceError` on any
-mismatch — the cheap insurance that keeps "incremental" and "correct" the
+Verification mode (``REPRO_VERIFY_STATE=K`` or
+``SimulationConfig(verify_state=K)``) cross-checks every K-th snapshot
+against a fresh ``from_running`` rebuild and raises
+:class:`StateDivergenceError` on any mismatch — the cheap insurance that keeps "incremental" and "correct" the
 same thing as the code evolves.
 """
 
@@ -87,10 +87,6 @@ class SchedulingState:
     verify_every:
         Cross-check every N-th snapshot against a ``from_running`` rebuild
         (0 disables).
-    backend:
-        Resolved kernel backend (``"python"``/``"numpy"``) for batch
-        queries; threaded into
-        :meth:`~repro.core.profile.AvailabilityProfile.earliest_start_batch`.
 
     ``deltas``, ``snapshots`` and ``verifications`` count the respective
     operations for the cost benches (Tables 7–8 instrumentation).
@@ -98,7 +94,6 @@ class SchedulingState:
 
     __slots__ = (
         "total_nodes",
-        "backend",
         "now",
         "profile",
         "_ends",
@@ -120,10 +115,8 @@ class SchedulingState:
         *,
         origin: float = 0.0,
         verify_every: int = 0,
-        backend: str = "python",
     ) -> None:
         self.total_nodes = total_nodes
-        self.backend = backend
         self.now = origin
         #: The persistent profile; schedulers must never mutate it directly —
         #: they receive copy-on-write clones from :meth:`snapshot`.
@@ -180,48 +173,6 @@ class SchedulingState:
             self.profile.release(end, nodes)
         self.deltas += 1
 
-    def on_start_batch(self, entries: "list[tuple[float, int, float, int]]") -> None:
-        """Apply a time-ordered run of ``(start, job_id, estimate, nodes)``.
-
-        The fused commit behind the simulator's idle-start coalescing:
-        equivalent, delta for delta, to ``advance(start)`` + ``on_start``
-        per entry (the clock advances through the run), with the method
-        dispatch and counter updates hoisted out of the loop.
-        """
-        profile = self.profile
-        ends = self._ends
-        jobs = self._jobs
-        for start, job_id, estimated_runtime, nodes in entries:
-            if start > self.now:
-                self.now = start
-                profile.advance_origin(start)
-            end = start + estimated_runtime
-            profile.reserve_from_origin(estimated_runtime, nodes)
-            insort(ends, (end, job_id))
-            jobs[job_id] = (end, nodes)
-        self.deltas += len(entries)
-
-    def on_release_batch(self, entries: "list[tuple[float, int]]") -> None:
-        """Apply a time-ordered run of ``(completion_time, job_id)`` releases.
-
-        The fused commit behind the simulator's empty-queue completion
-        drain: equivalent, delta for delta, to ``advance(time)`` +
-        ``on_release`` per entry.
-        """
-        profile = self.profile
-        ends = self._ends
-        jobs = self._jobs
-        for time, job_id in entries:
-            if time > self.now:
-                self.now = time
-                profile.advance_origin(time)
-            end, nodes = jobs.pop(job_id)
-            idx = bisect_left(ends, (end, job_id))
-            del ends[idx]
-            if end > time:
-                profile.release(end, nodes)
-        self.deltas += len(entries)
-
     # -- capacity deltas (simulator-only) ------------------------------------------
 
     def on_capacity_down(self, until: float, nodes: int) -> None:
@@ -261,19 +212,6 @@ class SchedulingState:
         self._queued_count += 1
         if self._queue_min is None or nodes < self._queue_min:
             self._queue_min = nodes
-
-    def note_enqueued_run(self, jobs: "list") -> None:
-        """Batched :meth:`note_enqueued` over a run of arriving jobs."""
-        widths = self._queue_widths
-        get = widths.get
-        queue_min = self._queue_min
-        for job in jobs:
-            nodes = job.nodes
-            widths[nodes] = get(nodes, 0) + 1
-            if queue_min is None or nodes < queue_min:
-                queue_min = nodes
-        self._queue_min = queue_min
-        self._queued_count += len(jobs)
 
     def note_dequeued(self, nodes: int) -> None:
         """A queued job left the queue (started or cancelled)."""
@@ -335,24 +273,6 @@ class SchedulingState:
         """``(projected_end, nodes)`` of every running job, end-sorted."""
         jobs = self._jobs
         return [(end, jobs[job_id][1]) for end, job_id in self._ends]
-
-    def earliest_start_batch(
-        self, requests: "list[tuple[int, float]]"
-    ) -> list[float]:
-        """First-fit starts for many ``(nodes, duration)`` requests at *now*.
-
-        A read-only batch query against the current availability: one
-        snapshot, one pass (see
-        :meth:`~repro.core.profile.AvailabilityProfile.earliest_start_batch`).
-        Disciplines planning with interleaved reservations keep using
-        their own snapshot's :meth:`~repro.core.profile.AvailabilityProfile.
-        allocate` kernel instead — that pair shares the same pruned
-        first-fit scan, so every profile consumer benefits from the
-        block-max index without further wiring.  Under the numpy backend
-        the whole batch runs through the vectorised 2-D kernel
-        (:func:`repro.core.vector.earliest_start_batch`).
-        """
-        return self.snapshot().earliest_start_batch(requests, backend=self.backend)
 
     # -- verification -------------------------------------------------------------
 

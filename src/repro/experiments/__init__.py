@@ -21,7 +21,6 @@ from repro.experiments.runner import CellResult, GridResult, run_grid
 from repro.experiments.engine import (
     CachePruneStats,
     ExperimentEngine,
-    FailureScenario,
     ProgressEvent,
     ResultCache,
     RunStats,
@@ -52,7 +51,6 @@ __all__ = [
     "EXPERIMENTS",
     "ExperimentEngine",
     "ExperimentSpec",
-    "FailureScenario",
     "GridResult",
     "JournalCorruptError",
     "JournalError",

@@ -42,7 +42,7 @@ __all__ = [
 
 #: Bump on wire-format changes; exchanged in HELLO/WELCOME so skewed
 #: driver/worker versions fail the handshake loudly.
-PROTOCOL_VERSION = 1
+PROTOCOL_VERSION = 2
 
 MAGIC = b"Rp"
 HEADER = struct.Struct(">2sBI8s")

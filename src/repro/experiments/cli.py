@@ -205,7 +205,7 @@ def _cmd_profile_cell(args: argparse.Namespace) -> int:
     the cell ran under one), proves the reconstruction by recomputing the
     cell fingerprint, then re-runs that single cell with
     ``SimulationConfig(profile_phases=True)`` and prints the
-    ``phase_seconds`` breakdown plus the coalescing counters — a
+    ``phase_seconds`` breakdown — a
     regression is attributable to a phase without reaching for a
     profiler.
     """
@@ -324,11 +324,7 @@ def _cmd_profile_cell(args: argparse.Namespace) -> int:
             config, total_nodes, weighted=weighted,
             recompute_threshold=recompute_threshold,
         ),
-        SimulationConfig(
-            backend=args.backend,
-            cancel_over_limit=cancel_over_limit,
-            profile_phases=True,
-        ),
+        SimulationConfig(cancel_over_limit=cancel_over_limit, profile_phases=True),
     )
     result = simulator.run(
         jobs,
@@ -344,25 +340,20 @@ def _cmd_profile_cell(args: argparse.Namespace) -> int:
         f"  workload {name!r}, {len(jobs)} jobs, {total_nodes} nodes, "
         f"{'weighted' if weighted else 'unweighted'}"
     )
-    print(
-        f"  decision points {result.decision_points}, "
-        f"backend {simulator.backend}"
-    )
+    print(f"  decision points {result.decision_points}")
     print("phase_seconds:")
-    for phase in ("total", "decide", "events", "commit", "coalesce", "other"):
+    for phase in ("total", "decide", "events", "commit", "other"):
         if phase in result.phase_seconds:
             print(f"  {phase:<10}{result.phase_seconds[phase] * 1e3:10.3f} ms")
-    if result.coalesced:
-        print("coalesced:")
-        for counter, value in sorted(result.coalesced.items()):
-            print(f"  {counter:<22}{value}")
     return 0
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="repro-experiments",
-        description="Regenerate the tables and figures of Krallmann et al. (IPPS'99).",
+        description="Regenerate the tables and figures of Krallmann et al. "
+        "(IPPS'99).  Every grid cell runs on the simulator's one event loop, "
+        "so results are deterministic and independent of where cells run.",
     )
     from repro.experiments.extensions import EXTENSIONS
 
@@ -396,13 +387,6 @@ def main(argv: list[str] | None = None) -> int:
         type=int,
         default=1,
         help="worker processes for parallel grid-cell fan-out (default 1)",
-    )
-    parser.add_argument(
-        "--backend",
-        choices=["auto", "python", "numpy"],
-        default=None,
-        help="simulation kernel backend (default: $REPRO_BACKEND, else auto "
-        "— numpy when importable); results are bit-identical either way",
     )
     parser.add_argument(
         "--backend-exec",
@@ -661,7 +645,6 @@ def main(argv: list[str] | None = None) -> int:
                 use_workload_store=not args.no_workload_store,
                 journal_dir=args.journal_dir,
                 resume_run_id=args.resume,
-                backend=args.backend,
                 scenario=scenario,
                 execution_backend=args.backend_exec,
                 shards=args.shards,

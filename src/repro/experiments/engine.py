@@ -52,9 +52,7 @@ compare the tables".  :class:`ExperimentEngine` executes that grid:
   registered component): the spec compiles once per run, its canonical
   digest joins every cell fingerprint and the run manifest, and
   :meth:`ExperimentEngine.run_scenarios` sweeps named specs over one
-  workload (:meth:`ExperimentEngine.run_failure_scenarios` is a
-  compatibility veneer translating the old
-  :class:`~repro.failures.trace.FailureTrace` + recovery pairs);
+  workload;
 * **run lifecycle** — every cached run keeps an append-only
   :class:`~repro.experiments.journal.RunJournal` under the cache
   directory, keyed by a deterministic run id: the manifest plus one
@@ -136,7 +134,7 @@ from repro.experiments.workload_store import (
     resolve_worker_workload,
 )
 from repro.resilience import BreakerTransition, RetryPolicy
-from repro.scenarios import ScenarioSpec, spec_from_legacy
+from repro.scenarios import ScenarioSpec
 from repro.schedulers.registry import SchedulerConfig, paper_configurations
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -530,9 +528,7 @@ def _run_cell_task(
     spec string, ``cancellations`` as a tuple of plain
     :class:`~repro.core.simulator.Cancellation` events and the
     estimate-limit kill policy as a bool — nothing unpicklable crosses
-    the process boundary.  The trailing ``backend`` slot selects the
-    simulation kernels in the worker (cell results are bit-identical
-    either way, so it never enters a fingerprint).
+    the process boundary.
     """
     (
         row,
@@ -545,7 +541,6 @@ def _run_cell_task(
         recovery,
         cancellations,
         cancel_over_limit,
-        backend,
     ) = args
     if isinstance(jobs, str):
         jobs = resolve_worker_workload(jobs)
@@ -561,7 +556,6 @@ def _run_cell_task(
         recovery=recovery,
         cancellations=cancellations,
         cancel_over_limit=cancel_over_limit,
-        backend=backend,
     )
     return config.key, cell, time.perf_counter() - t0
 
@@ -611,24 +605,6 @@ def _watchdog_defaults() -> "tuple[float | None, float | None]":
 #: Sentinel distinguishing "kwarg not passed" (environment default
 #: applies) from an explicit ``heartbeat_interval=None`` (watchdog off).
 _WATCHDOG_UNSET: object = object()
-
-
-@dataclass(frozen=True, slots=True)
-class FailureScenario:
-    """One named failure-injection scenario for a grid sweep.
-
-    ``failures=None`` (with any ``recovery``) is the healthy baseline;
-    ``recovery`` is a canonical spec string (see
-    :func:`repro.failures.recovery.recovery_from_spec`).  Kept as the
-    stable surface of :meth:`ExperimentEngine.run_failure_scenarios`;
-    internally each one is translated into a
-    :class:`~repro.scenarios.spec.ScenarioSpec` and swept through
-    :meth:`ExperimentEngine.run_scenarios`.
-    """
-
-    name: str
-    failures: "FailureTrace | None" = None
-    recovery: str | None = None
 
 
 class _PreparedRun(NamedTuple):
@@ -736,12 +712,6 @@ class ExperimentEngine:
         :class:`~repro.experiments.journal.RunInterrupted` is raised with
         the resumable run id.  Handlers are installed only in the main
         thread and always restored afterwards.
-    backend:
-        Simulation kernel backend for every cell (``"python"`` /
-        ``"numpy"`` / ``"auto"``; ``None`` consults ``REPRO_BACKEND``).
-        Bit-identical results either way, so the backend is deliberately
-        absent from cell fingerprints and run manifests — caches and
-        journals written under one backend resume cleanly under the other.
 
     ``stats`` holds the :class:`RunStats` of the most recent :meth:`run`.
     """
@@ -761,14 +731,12 @@ class ExperimentEngine:
         heartbeat_interval: float | None = _WATCHDOG_UNSET,  # type: ignore[assignment]
         heartbeat_timeout: float | None = None,
         handle_signals: bool = True,
-        backend: str | None = None,
         execution_backend: str | None = None,
         shards: int = 2,
         connect: Sequence[str] = (),
         remote_cache: str | None = None,
     ) -> None:
         self.workers = max(1, workers if workers is not None else 1)
-        self.backend = backend
         self.cache = (
             ResultCache(cache, remote=remote_cache)
             if isinstance(cache, (str, Path))
@@ -945,8 +913,6 @@ class ExperimentEngine:
         configs: Sequence[SchedulerConfig] | None = None,
         recompute_threshold: float = 2.0 / 3.0,
         reference_key: str | None = None,
-        failures: "FailureTrace | None" = None,
-        recovery: str | None = None,
         scenario: "ScenarioSpec | None" = None,
     ) -> "_PreparedRun":
         """Normalize one grid request into its manifest-defining form.
@@ -954,22 +920,11 @@ class ExperimentEngine:
         Shared by :meth:`run`, :meth:`resume` and :meth:`run_id_for`, so
         the deterministic run id is computed from exactly the inputs the
         dispatch path will use.
-
-        The legacy ``failures``/``recovery`` keywords are translated into
-        an equivalent single-``FailureModel`` spec, so both call styles
-        compile through one path and share one cache identity (the
-        translated trace is byte-identical, see
-        :func:`repro.scenarios.spec.spec_from_legacy`).
         """
-        if scenario is not None and (failures is not None or recovery is not None):
-            raise TypeError(
-                "pass either scenario=ScenarioSpec(...) or the legacy "
-                "failures=/recovery= keywords, not both"
-            )
-        if scenario is None:
-            scenario = spec_from_legacy(failures=failures, recovery=recovery)
         if scenario is not None and not scenario.components:
             scenario = None  # the empty spec is the healthy baseline
+        failures: "FailureTrace | None" = None
+        recovery: str | None = None
         cancellations: "tuple[Cancellation, ...]" = ()
         cancel_over_limit = False
         scenario_digest = ""
@@ -1032,9 +987,9 @@ class ExperimentEngine:
 
         Accepts the grid-shaping keyword arguments of :meth:`run`
         (``workload_name``, ``total_nodes``, ``weighted``, ``configs``,
-        ``recompute_threshold``, ``reference_key``, ``failures``,
-        ``recovery``, ``scenario``); drivers use it to print or predict
-        the ``--resume`` handle without running anything.
+        ``recompute_threshold``, ``reference_key``, ``scenario``); drivers
+        use it to print or predict the ``--resume`` handle without running
+        anything.
         """
         return str(self._prepare(jobs, **kwargs).manifest["run"])  # type: ignore[arg-type]
 
@@ -1087,8 +1042,6 @@ class ExperimentEngine:
         recompute_threshold: float = 2.0 / 3.0,
         progress: ProgressFn | None = None,
         reference_key: str | None = None,
-        failures: "FailureTrace | None" = None,
-        recovery: str | None = None,
         scenario: "ScenarioSpec | None" = None,
         resume_run_id: str | None = None,
     ) -> GridResult:
@@ -1106,11 +1059,7 @@ class ExperimentEngine:
         once against ``jobs`` (arrival components may rewrite the
         stream), its canonical digest joins every cell fingerprint and
         the run manifest, and the compiled disturbance inputs ship to the
-        workers — no per-component wiring anywhere in the engine.  The
-        legacy ``failures``/``recovery`` keywords still work (mutually
-        exclusive with ``scenario``) and are translated into an
-        equivalent spec, sharing one cache identity.  ``recovery`` must
-        be a spec string (workers rebuild the policy from it).
+        workers — no per-component wiring anywhere in the engine.
 
         When a journal root is available (a cache or ``journal_dir``),
         the run is journaled under its deterministic id: a fresh run
@@ -1128,8 +1077,6 @@ class ExperimentEngine:
             configs=configs,
             recompute_threshold=recompute_threshold,
             reference_key=reference_key,
-            failures=failures,
-            recovery=recovery,
             scenario=scenario,
         )
         jobs = prep.jobs
@@ -1315,34 +1262,6 @@ class ExperimentEngine:
             )
         return out
 
-    def run_failure_scenarios(
-        self,
-        jobs: Sequence[Job],
-        scenarios: Sequence[FailureScenario],
-        *,
-        workload_name: str = "workload",
-        **kwargs: object,
-    ) -> Mapping[str, GridResult]:
-        """Sweep named failure scenarios over one workload.
-
-        A compatibility veneer over :meth:`run_scenarios`: each
-        :class:`FailureScenario` is translated into an equivalent
-        single-``FailureModel`` spec (byte-identical trace, same cache
-        identity), so failure sweeps and spec sweeps share one path.
-        """
-        names = [s.name for s in scenarios]
-        if len(set(names)) != len(names):
-            raise ValueError(f"duplicate scenario names: {names}")
-        return self.run_scenarios(
-            jobs,
-            {
-                s.name: spec_from_legacy(failures=s.failures, recovery=s.recovery)
-                for s in scenarios
-            },
-            workload_name=workload_name,
-            **kwargs,  # type: ignore[arg-type]
-        )
-
     def _run_serial(
         self,
         pending: list[tuple[SchedulerConfig, str]],
@@ -1388,7 +1307,6 @@ class ExperimentEngine:
                 recovery=recovery,
                 cancellations=cancellations,
                 cancel_over_limit=cancel_over_limit,
-                backend=self.backend,
             )
             wall = time.perf_counter() - t0
             self._record(config.key, fp, cell, wall, grid, stats, results)
@@ -1490,7 +1408,6 @@ class ExperimentEngine:
                     recovery,
                     cancellations,
                     cancel_over_limit,
-                    self.backend,
                 ),
             )
 

@@ -300,7 +300,6 @@ def run_experiment(
     use_workload_store: bool = True,
     journal_dir: str | Path | None = None,
     resume_run_id: str | None = None,
-    backend: str | None = None,
     scenario: "ScenarioSpec | None" = None,
     execution_backend: str | None = None,
     shards: int = 2,
@@ -325,10 +324,7 @@ def run_experiment(
     for parallel cell fan-out, a content-addressed result cache (a
     directory path suffices), and a structured progress-event callback.
     ``use_workload_store=False`` reverts parallel runs to pickling the job
-    tuple per cell instead of the zero-copy digest dispatch.  ``backend``
-    selects the simulation kernels per cell (``"python"``/``"numpy"``/
-    ``"auto"``; ``None`` consults ``REPRO_BACKEND``) — results, caches and
-    run ids are bit-identical across backends.
+    tuple per cell instead of the zero-copy digest dispatch.
 
     ``journal_dir`` overrides where run journals land (default: under the
     cache).  ``resume_run_id`` resumes the regime whose deterministic run
@@ -363,7 +359,6 @@ def run_experiment(
         on_event=on_event,
         use_workload_store=use_workload_store,
         journal_dir=journal_dir,
-        backend=backend,
         execution_backend=execution_backend,
         shards=shards,
         connect=connect,

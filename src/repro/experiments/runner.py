@@ -28,7 +28,9 @@ from repro.core.simulator import (
     SimulationConfig,
     Simulator,
 )
-from repro.metrics.objectives import (
+# The scalar objective loops stay importable from here beside their column
+# twins, so timing harnesses can wrap either name.
+from repro.metrics.objectives import (  # noqa: F401
     average_response_time,
     average_weighted_response_time,
 )
@@ -180,7 +182,6 @@ def simulate_cell(
     recovery: str | None = None,
     cancellations: "Sequence[Cancellation]" = (),
     cancel_over_limit: bool = False,
-    backend: str | None = None,
 ) -> CellResult:
     """Simulate one grid cell and measure the paper's metrics.
 
@@ -202,12 +203,10 @@ def simulate_cell(
     string here (not a policy object) so the cell stays picklable and
     cache-fingerprintable.
 
-    ``backend`` selects the simulation kernels (see
-    :func:`repro.core.vector.resolve_backend`); both backends produce
-    bit-identical cells, which is why the backend is absent from the cache
-    fingerprint.  Under the numpy backend the objective reduces over the
-    run's columnar buffers (:class:`repro.core.vector.ResultColumns`) with
-    the exact-summation kernels — same bits as the scalar loops.
+    The objective reduces over the run's columnar buffers
+    (:class:`repro.core.vector.ResultColumns`) with the exact-summation
+    kernels — same bits as the scalar loops of
+    :mod:`repro.metrics.objectives`.
     """
     if isinstance(jobs, PackedJobs):
         jobs = unpack_jobs(jobs)
@@ -223,20 +222,13 @@ def simulate_cell(
     result = Simulator(
         Machine(total_nodes),
         scheduler,
-        SimulationConfig(backend=backend, cancel_over_limit=cancel_over_limit),
+        SimulationConfig(cancel_over_limit=cancel_over_limit),
     ).run(jobs, scenario=scenario)
-    if result.columns is not None:
-        objective = (
-            vector.average_weighted_response_time_columns(result.columns)
-            if weighted
-            else vector.average_response_time_columns(result.columns)
-        )
-    else:
-        objective = (
-            average_weighted_response_time(result.schedule)
-            if weighted
-            else average_response_time(result.schedule)
-        )
+    objective = (
+        vector.average_weighted_response_time_columns(result.columns)
+        if weighted
+        else vector.average_response_time_columns(result.columns)
+    )
     return CellResult(
         config=config,
         objective=objective,
@@ -260,14 +252,12 @@ def run_grid(
     configs: Sequence[SchedulerConfig] | None = None,
     progress: ProgressFn | None = None,
     reference_key: str | None = None,
-    backend: str | None = None,
 ) -> GridResult:
     """Run every configuration over ``jobs`` and collect the paper's metrics.
 
     ``weighted`` selects both the objective (ART vs AWRT) and the ordering
     weight SMART/PSRS use internally — matching the paper, which tunes and
-    evaluates each regime separately.  ``backend`` selects the simulation
-    kernels per cell (bit-identical either way).
+    evaluates each regime separately.
 
     This is a thin serial wrapper over
     :class:`repro.experiments.engine.ExperimentEngine` (one worker, no
@@ -276,7 +266,7 @@ def run_grid(
     """
     from repro.experiments.engine import ExperimentEngine
 
-    return ExperimentEngine(workers=1, backend=backend).run(
+    return ExperimentEngine(workers=1).run(
         jobs,
         workload_name=workload_name,
         total_nodes=total_nodes,

@@ -20,6 +20,7 @@ Two sources:
 from __future__ import annotations
 
 import hashlib
+import heapq
 import random
 from dataclasses import dataclass
 from typing import Iterable, Iterator
@@ -190,19 +191,23 @@ def mtbf_trace(
     rate = total_nodes / mtbf
     cap = max(1, int(max_down_fraction * total_nodes))
     failures: list[NodeFailure] = []
-    active: list[NodeFailure] = []  # repairs pending, for the concurrency cap
+    # Repairs pending, as an (up_time, nodes) heap, and the nodes they hold
+    # down — the concurrency cap's input, kept incrementally.
+    active: list[tuple[float, int]] = []
+    down = 0
     t = 0.0
     while True:
         t += rng.expovariate(rate)
         if t >= horizon:
             break
         nodes = rng.randint(1, max_nodes_per_failure)
-        active = [f for f in active if f.up_time > t]
-        down = sum(f.nodes for f in active)
+        while active and active[0][0] <= t:
+            down -= heapq.heappop(active)[1]
         if down + nodes > cap:
             continue  # skip: the site would not tolerate a deeper outage
         repair = rng.expovariate(1.0 / mttr)
         failure = NodeFailure(down_time=t, up_time=t + repair, nodes=nodes)
         failures.append(failure)
-        active.append(failure)
+        heapq.heappush(active, (failure.up_time, nodes))
+        down += nodes
     return FailureTrace(failures)

@@ -271,7 +271,7 @@ class FailureModel(ScenarioComponent):
     """Node failures plus the recovery policy.
 
     Either an explicit ``trace`` of ``(down_time, up_time, nodes)``
-    triples (targeted scenarios; the legacy-kwarg translation) or the
+    triples (targeted scenarios, or a recorded trace replayed) or the
     seeded MTBF/MTTR renewal model of
     :func:`repro.failures.trace.mtbf_trace` — equal seeds produce
     byte-identical traces (equal :meth:`FailureTrace.fingerprint`).

@@ -67,9 +67,6 @@ class UserLimitDiscipline(Discipline):
         ]
         if not eligible:
             return []
-        # The filtered queue no longer matches any columnar view the order
-        # policy published; drop the hint so the inner discipline rescans.
-        ctx.queue_columns = None
         batch = self.inner.select(eligible, ctx)
         started: list[Job] = []
         for job in batch:

@@ -40,7 +40,6 @@ class SlackBackfill(Discipline):
 
     name = "slack"
     uses_estimates = True
-    coalesce_blocked_arrivals = True
 
     def __init__(self, slack_factor: float = 1.0) -> None:
         if slack_factor < 0:

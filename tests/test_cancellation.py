@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from repro.core.job import Job
 from repro.core.machine import Machine
-from repro.core.simulator import Cancellation, Simulator
+from repro.core.simulator import Cancellation, ScenarioInputs, Simulator
 from repro.schedulers.fcfs import FCFSScheduler
 from repro.schedulers.garey_graham import GareyGrahamScheduler
 from repro.workloads.transforms import random_cancellations
@@ -19,7 +19,7 @@ def J(job_id, submit, nodes, runtime, estimate=None):
 
 def run(jobs, cancellations, scheduler=None, nodes=8):
     sim = Simulator(Machine(nodes), scheduler or FCFSScheduler.plain())
-    return sim.run(jobs, cancellations=cancellations)
+    return sim.run(jobs, scenario=ScenarioInputs(cancellations=cancellations))
 
 
 class TestQueuedCancellation:
@@ -120,7 +120,7 @@ class TestSimulateWrapper:
             jobs,
             FCFSScheduler.plain(),
             8,
-            cancellations=[Cancellation(time=10.0, job_id=1)],
+            scenario=ScenarioInputs(cancellations=[Cancellation(time=10.0, job_id=1)]),
         )
         assert res.cancelled_queued == (1,)
 
@@ -175,7 +175,7 @@ def test_failure_injection_invariants(seed, fraction):
     cancellations = random_cancellations(jobs, fraction, seed=seed + 1)
     for scheduler in (FCFSScheduler.with_easy(), GareyGrahamScheduler()):
         sim = Simulator(Machine(64), scheduler)
-        res = sim.run(jobs, cancellations=cancellations)
+        res = sim.run(jobs, scenario=ScenarioInputs(cancellations=cancellations))
         res.schedule.validate(64)
         executed = {item.job.job_id for item in res.schedule}
         withdrawn = set(res.cancelled_queued)

@@ -218,6 +218,26 @@ class TestProtocol:
         finally:
             b.close()
 
+    def test_handshake_version_mismatch_is_refused(self):
+        """A driver speaking an older protocol (version 1 shipped an
+        11-slot cell-task tuple) gets no WELCOME: the worker drops the
+        connection instead of unpacking tasks of the wrong arity."""
+        assert proto.PROTOCOL_VERSION == 2
+        with in_thread_server() as server:
+            for version, welcomed in ((1, False), (proto.PROTOCOL_VERSION, True)):
+                sock = socket.create_connection((server.host, server.port), timeout=10)
+                try:
+                    proto.send_frame(sock, proto.Kind.HELLO, {"version": version})
+                    if welcomed:
+                        frame = proto.recv_frame(sock)
+                        assert frame.kind is proto.Kind.WELCOME
+                        assert frame.payload["version"] == proto.PROTOCOL_VERSION
+                    else:
+                        with pytest.raises(ConnectionError):
+                            proto.recv_frame(sock)
+                finally:
+                    sock.close()
+
     def test_parse_address(self):
         assert proto.parse_address("9100") == ("127.0.0.1", 9100)
         assert proto.parse_address("node7:9100") == ("node7", 9100)
@@ -443,7 +463,7 @@ class TestLeasesAndDuplicates:
                     key="fcfs/easy",
                     args=(
                         "fcfs", "easy", jobs, 256, False, 2.0 / 3.0,
-                        None, None, (), False, None,
+                        None, None, (), False,
                     ),
                 )
                 assert backend.submit(task)

@@ -11,7 +11,6 @@ from repro.core.scheduler import Scheduler
 from repro.experiments.engine import (
     CACHE_VERSION,
     ExperimentEngine,
-    FailureScenario,
     ResultCache,
     cell_fingerprint,
     fingerprint_jobs,
@@ -20,6 +19,7 @@ from repro.failures import FailureTrace, NodeFailure, mtbf_trace
 from repro.experiments.paper import probabilistic_workload
 from repro.experiments.runner import GridResult, TimingScheduler, run_grid
 from repro.experiments.tables import format_grid
+from repro.scenarios import FailureModel, ScenarioSpec
 from repro.schedulers.baselines import KeyOrderPolicy
 from repro.schedulers.registry import (
     SchedulerConfig,
@@ -523,6 +523,12 @@ class TestCrashTolerance:
 # -- failure scenarios through the engine --------------------------------------
 
 
+def _failure_spec(trace, recovery):
+    """A spec replaying an explicit failure trace under ``recovery``."""
+    triples = [(f.down_time, f.up_time, f.nodes) for f in trace]
+    return ScenarioSpec((FailureModel(trace=triples, recovery=recovery),))
+
+
 class TestFailureScenarios:
     def _trace(self):
         return FailureTrace(
@@ -531,6 +537,12 @@ class TestFailureScenarios:
                 NodeFailure(down_time=30_000.0, up_time=40_000.0, nodes=32),
             ]
         )
+
+    def _scenarios(self):
+        return {
+            "healthy": None,
+            "outage": _failure_spec(self._trace(), "resubmit"),
+        }
 
     def test_fingerprint_distinguishes_failure_axes(self, workload):
         digest = fingerprint_jobs(workload)
@@ -553,14 +565,8 @@ class TestFailureScenarios:
     def test_scenario_sweep_baseline_matches_plain_run(self, tmp_path, workload):
         configs = [SchedulerConfig("fcfs", "easy"), SchedulerConfig("fcfs", "list")]
         engine = ExperimentEngine(workers=2, cache=tmp_path)
-        grids = engine.run_failure_scenarios(
-            workload[:60],
-            [
-                FailureScenario("healthy"),
-                FailureScenario("outage", failures=self._trace(), recovery="resubmit"),
-            ],
-            total_nodes=256,
-            configs=configs,
+        grids = engine.run_scenarios(
+            workload[:60], self._scenarios(), total_nodes=256, configs=configs
         )
         assert list(grids) == ["healthy", "outage"]
 
@@ -575,14 +581,8 @@ class TestFailureScenarios:
 
         # Scenario cells cache independently: a re-sweep is all hits.
         warm = ExperimentEngine(workers=1, cache=tmp_path)
-        warm.run_failure_scenarios(
-            workload[:60],
-            [
-                FailureScenario("healthy"),
-                FailureScenario("outage", failures=self._trace(), recovery="resubmit"),
-            ],
-            total_nodes=256,
-            configs=configs,
+        warm.run_scenarios(
+            workload[:60], self._scenarios(), total_nodes=256, configs=configs
         )
         assert warm.stats.simulated == 0
 
@@ -596,8 +596,8 @@ class TestFailureScenarios:
         )
         configs = [SchedulerConfig("fcfs", "easy"), SchedulerConfig("psrs", "easy")]
         kwargs = dict(
-            total_nodes=256, configs=configs, failures=trace,
-            recovery="checkpoint:interval=600,overhead=30",
+            total_nodes=256, configs=configs,
+            scenario=_failure_spec(trace, "checkpoint:interval=600,overhead=30"),
         )
         parallel = ExperimentEngine(workers=2).run(workload[:60], **kwargs)
         serial = ExperimentEngine(workers=1).run(workload[:60], **kwargs)
@@ -608,23 +608,13 @@ class TestFailureScenarios:
                 == serial.cells[key].wasted_node_seconds
             )
 
-    def test_duplicate_scenario_names_rejected(self, workload):
-        with pytest.raises(ValueError, match="duplicate scenario names"):
-            ExperimentEngine().run_failure_scenarios(
-                workload[:10],
-                [FailureScenario("x"), FailureScenario("x")],
-                total_nodes=256,
-                configs=[SchedulerConfig("fcfs", "easy")],
-            )
-
     def test_malformed_recovery_spec_fails_fast(self, workload):
         with pytest.raises(ValueError, match="unknown recovery policy"):
             ExperimentEngine().run(
                 workload[:10],
                 total_nodes=256,
                 configs=[SchedulerConfig("fcfs", "easy")],
-                failures=self._trace(),
-                recovery="pray",
+                scenario=_failure_spec(self._trace(), "pray"),
             )
 
 

@@ -3,7 +3,8 @@
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.core.events import Event, EventKind, EventQueue
+from repro.core.events import Event, EventKind, EventQueue, MergedEventFeed
+from repro.core.job import Job
 
 
 class TestOrdering:
@@ -67,3 +68,37 @@ def test_pop_sequence_is_sorted(items):
     popped: list[Event] = [q.pop() for _ in range(len(items))]
     keys = [(e.time, e.kind, e.sequence) for e in popped]
     assert keys == sorted(keys)
+
+
+@given(
+    st.lists(st.integers(min_value=0, max_value=20), max_size=25),
+    st.lists(
+        st.tuples(st.integers(min_value=0, max_value=24), st.sampled_from(list(EventKind))),
+        max_size=25,
+    ),
+)
+def test_merged_feed_matches_one_heap(arrivals, heap_events):
+    """Sorted arrivals merged with the heap pop in exactly the order of one
+    heap holding every event (small integer instants force ties)."""
+    jobs = sorted(
+        (Job(job_id=i, submit_time=float(t), nodes=1, runtime=1.0)
+         for i, t in enumerate(arrivals)),
+        key=lambda j: (j.submit_time, j.job_id),
+    )
+    oracle = EventQueue()
+    for job in jobs:
+        oracle.push(job.submit_time, EventKind.SUBMISSION, job)
+    events = EventQueue(start_sequence=len(jobs))
+    for i, (t, kind) in enumerate(heap_events):
+        oracle.push(float(t), kind, i)
+        events.push(float(t), kind, i)
+    feed = MergedEventFeed(events, jobs)
+    merged = []
+    while feed:
+        t = feed.peek_time()
+        merged.append((t, *feed.pop_next()))
+    expected = []
+    while oracle:
+        event = oracle.pop()
+        expected.append((event.time, event.kind, event.payload))
+    assert merged == expected

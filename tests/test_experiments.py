@@ -77,15 +77,18 @@ class TestRunner:
         assert timed.name == inner.name
 
     def test_timing_scheduler_delegates_cancel_and_wakeup(self):
-        from repro.core.simulator import Cancellation
+        from repro.core.simulator import Cancellation, ScenarioInputs
 
         timed = TimingScheduler(FCFSScheduler.plain())
         jobs = make_jobs(10, seed=3, max_nodes=64, mean_gap=500.0)
         victim = jobs[-1]
         res = simulate(
             jobs, timed, 64,
-            cancellations=[Cancellation(time=victim.submit_time + 1e-3,
-                                        job_id=victim.job_id)],
+            scenario=ScenarioInputs(
+                cancellations=[
+                    Cancellation(time=victim.submit_time + 1e-3, job_id=victim.job_id)
+                ]
+            ),
         )
         # If the victim was still queued, the cancel path was exercised.
         assert victim.job_id in res.cancelled_queued or victim.job_id in res.schedule
@@ -216,7 +219,7 @@ class TestCLI:
         assert code == 0
         assert fingerprint in out
         assert "phase_seconds:" in out
-        for phase in ("total", "decide", "events", "commit", "coalesce"):
+        for phase in ("total", "decide", "events", "commit", "other"):
             assert phase in out
 
     def test_cli_profile_cell_unknown_fingerprint(self, tmp_path, capsys):

@@ -12,7 +12,7 @@ import pytest
 
 from repro.core.job import Job
 from repro.core.machine import Machine
-from repro.core.simulator import Cancellation, Simulator
+from repro.core.simulator import Cancellation, ScenarioInputs, Simulator
 from repro.failures import (
     AbandonPolicy,
     CheckpointRestartPolicy,
@@ -36,7 +36,7 @@ def J(job_id, submit, nodes, runtime, estimate=None):
 
 def run(jobs, failures, recovery=None, nodes=8, scheduler=None):
     sim = Simulator(Machine(nodes), scheduler or FCFSScheduler.plain())
-    return sim.run(jobs, failures=failures, recovery=recovery)
+    return sim.run(jobs, scenario=ScenarioInputs(failures=failures, recovery=recovery))
 
 
 # -- NodeFailure / FailureTrace ------------------------------------------------
@@ -373,9 +373,11 @@ class TestSimulatorFailures:
         sim = Simulator(Machine(8), FCFSScheduler.plain())
         res = sim.run(
             jobs,
-            cancellations=[Cancellation(time=60.0, job_id=0)],
-            failures=trace,
-            recovery="resubmit:delay=100",
+            scenario=ScenarioInputs(
+                cancellations=[Cancellation(time=60.0, job_id=0)],
+                failures=trace,
+                recovery="resubmit:delay=100",
+            ),
         )
         assert res.cancelled_queued == (0,)
         assert len(res.schedule) == 0
@@ -424,7 +426,7 @@ class TestSimulatorFailures:
         )
         assert len(trace) > 0
         sim = Simulator(Machine(64), FCFSScheduler.with_easy())
-        res = sim.run(jobs, failures=trace, recovery=recovery)
+        res = sim.run(jobs, scenario=ScenarioInputs(failures=trace, recovery=recovery))
         res.schedule.validate(64, capacity=trace.capacity_steps(64))
         tallies = audit_run(res, jobs, trace, 64, recovery=recovery)
         assert tallies["jobs"] == 80.0
@@ -446,7 +448,7 @@ class TestAuditOracle:
             max_nodes_per_failure=16,
         )
         res = Simulator(Machine(64), FCFSScheduler.with_easy()).run(
-            jobs, failures=trace, recovery="resubmit"
+            jobs, scenario=ScenarioInputs(failures=trace, recovery="resubmit")
         )
         assert len(res.failure_killed) > 0  # the scenario must actually bite
         return res, jobs, trace

@@ -10,7 +10,7 @@ from repro.analysis.persistence import (
     write_schedule,
 )
 from repro.core.machine import Machine
-from repro.core.simulator import Cancellation, Simulator, simulate
+from repro.core.simulator import Cancellation, ScenarioInputs, Simulator, simulate
 from repro.metrics.objectives import average_response_time
 from repro.schedulers.fcfs import FCFSScheduler
 from tests.conftest import make_jobs
@@ -48,9 +48,11 @@ class TestRoundTrip:
         victim = jobs[0]
         res = sim.run(
             jobs,
-            cancellations=[
-                Cancellation(time=victim.submit_time + 0.1, job_id=victim.job_id)
-            ],
+            scenario=ScenarioInputs(
+                cancellations=[
+                    Cancellation(time=victim.submit_time + 0.1, job_id=victim.job_id)
+                ]
+            ),
         )
         path = tmp_path / "schedule.csv"
         write_schedule(res.schedule, path)

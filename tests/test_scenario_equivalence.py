@@ -3,7 +3,7 @@
 The scenario algebra is a *refactor*, never a semantics change: a
 ``ScenarioSpec`` must reproduce the four code paths it replaced bit for
 bit, over every cell of the scheduler registry, in both objective
-regimes, on both simulation backends —
+regimes —
 
 * :class:`~repro.scenarios.CancellationModel` vs a hand-built
   :func:`~repro.workloads.transforms.random_cancellations` stream,
@@ -14,10 +14,6 @@ regimes, on both simulation backends —
   recovery policy,
 * :class:`~repro.scenarios.FeedbackUsers` vs the closed-loop
   ``run_closed_loop(...).trace`` wiring.
-
-The CI ``scenario-equivalence`` job runs this file with
-``REPRO_BACKEND=numpy`` forced (plus a python pass) so neither backend
-can silently fall back.
 """
 
 from __future__ import annotations
@@ -39,38 +35,51 @@ from repro.scenarios import (
 from repro.schedulers.registry import build_scheduler, registered_configurations
 from repro.workloads.transforms import random_cancellations
 from tests.conftest import make_jobs
-from tests.test_vector_equivalence import full_signature
 
 NODES = 64
-BACKENDS = ("python", "numpy")
 RECOVERIES = ["abandon", "resubmit", "checkpoint:interval=300.0,overhead=30.0"]
 
 
-def run_cell(config, jobs, *, weighted=False, backend="python",
-             scenario=None, sim_config=None):
-    sim_config = sim_config or SimulationConfig()
+def full_signature(result):
+    return (
+        [
+            (item.job.job_id, item.start_time, item.end_time, item.cancelled)
+            for item in result.schedule
+        ],
+        result.decision_points,
+        result.max_queue_length,
+        result.end_time,
+        result.cancelled_queued,
+        result.killed_running,
+        result.failure_killed,
+        [
+            (item.job.job_id, item.start_time, item.end_time)
+            for item in result.interrupted
+        ],
+        result.lost_node_seconds,
+        result.wasted_node_seconds,
+        result.requeue_delay,
+    )
+
+
+def run_cell(config, jobs, *, weighted=False, scenario=None, sim_config=None):
     return Simulator(
         Machine(NODES),
         build_scheduler(config, NODES, weighted=weighted),
-        replace(sim_config, backend=backend),
+        sim_config,
     ).run(jobs, scenario=scenario)
 
 
 def assert_channel_equivalent(jobs, *, legacy_scenario=None, spec=None,
                               legacy_config=None, weighted=False):
-    """One regime, every registry cell, both backends: spec == legacy."""
+    """One regime, every registry cell: spec == legacy."""
     for config in registered_configurations():
-        for backend in BACKENDS:
-            legacy = run_cell(
-                config, jobs, weighted=weighted, backend=backend,
-                scenario=legacy_scenario, sim_config=legacy_config,
-            )
-            via_spec = run_cell(
-                config, jobs, weighted=weighted, backend=backend, scenario=spec,
-            )
-            assert full_signature(via_spec) == full_signature(legacy), (
-                config.key, backend,
-            )
+        legacy = run_cell(
+            config, jobs, weighted=weighted,
+            scenario=legacy_scenario, sim_config=legacy_config,
+        )
+        via_spec = run_cell(config, jobs, weighted=weighted, scenario=spec)
+        assert full_signature(via_spec) == full_signature(legacy), config.key
 
 
 @pytest.mark.parametrize("weighted", [False, True], ids=["unweighted", "weighted"])
@@ -155,47 +164,6 @@ def test_feedback_users_matches_closed_loop_trace():
     # components rewrite the stream before simulation, nothing else.
     for weighted in (False, True):
         for config in registered_configurations():
-            for backend in BACKENDS:
-                via_spec = run_cell(
-                    config, [], weighted=weighted, backend=backend, scenario=spec
-                )
-                direct = run_cell(
-                    config, list(expected), weighted=weighted, backend=backend
-                )
-                assert full_signature(via_spec) == full_signature(direct), (
-                    config.key, backend,
-                )
-
-
-def test_engine_failure_scenarios_delegate_to_spec_sweeps(tmp_path):
-    """``run_failure_scenarios`` is now a veneer over ``run_scenarios``:
-    both produce identical grids, fingerprints and cache entries."""
-    from repro.experiments.engine import ExperimentEngine, FailureScenario
-    from repro.experiments.runner import SchedulerConfig
-    from repro.scenarios import spec_from_legacy
-
-    jobs = make_jobs(50, seed=61, max_nodes=NODES, mean_gap=40.0)
-    trace = mtbf_trace(
-        total_nodes=NODES, horizon=20_000.0, mtbf=6_000.0, mttr=500.0, seed=67
-    )
-    configs = [SchedulerConfig("fcfs", "easy"), SchedulerConfig("fcfs", "list")]
-    engine = ExperimentEngine(
-        workers=1, cache=tmp_path / "cache", handle_signals=False
-    )
-    legacy = engine.run_failure_scenarios(
-        jobs,
-        [FailureScenario("outage", trace, "resubmit")],
-        total_nodes=NODES,
-        configs=configs,
-    )
-    via_spec = engine.run_scenarios(
-        jobs,
-        {"outage": spec_from_legacy(failures=trace, recovery="resubmit")},
-        total_nodes=NODES,
-        configs=configs,
-    )
-    assert legacy["outage"].fingerprints == via_spec["outage"].fingerprints
-    assert engine.stats.cache_hits == len(configs)  # one shared identity
-    assert {k: c.objective for k, c in legacy["outage"].cells.items()} == {
-        k: c.objective for k, c in via_spec["outage"].cells.items()
-    }
+            via_spec = run_cell(config, [], weighted=weighted, scenario=spec)
+            direct = run_cell(config, list(expected), weighted=weighted)
+            assert full_signature(via_spec) == full_signature(direct), config.key

@@ -34,7 +34,6 @@ from repro.scenarios import (
     ScenarioSpec,
     component_seed,
     register_component,
-    spec_from_legacy,
 )
 from tests.conftest import make_jobs
 
@@ -360,7 +359,7 @@ if HAVE_HYPOTHESIS:
         assert compiled_signature(pickle.loads(pickle.dumps(compiled))) == first
 
 
-# -- simulator surface (satellite: offending keywords are named) ------------------
+# -- simulator surface -------------------------------------------------------------
 
 
 class TestSimulatorSurface:
@@ -370,27 +369,6 @@ class TestSimulatorSurface:
         from repro.schedulers import FCFSScheduler
 
         return Simulator(Machine(NODES), FCFSScheduler.with_easy())
-
-    def test_deprecation_warning_names_the_offending_keywords(self):
-        from repro.core.simulator import Cancellation
-
-        jobs = jobs_stream(10)
-        with pytest.warns(DeprecationWarning, match=r"cancellations, recovery"):
-            self._sim().run(
-                jobs,
-                cancellations=[Cancellation(time=1e9, job_id=jobs[0].job_id)],
-                recovery="abandon",
-            )
-
-    def test_conflict_error_names_the_offending_keywords(self):
-        jobs = jobs_stream(10)
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(
-                TypeError, match=r"deprecated keyword\(s\) recovery, not both"
-            ):
-                self._sim().run(
-                    jobs, scenario=ScenarioInputs(), recovery="abandon"
-                )
 
     def test_run_accepts_a_spec_directly(self):
         jobs = jobs_stream(15)
@@ -482,53 +460,27 @@ class TestLoadSurgeEndToEnd:
         assert out["healthy"].fingerprints != out["surge"].fingerprints
         assert out["healthy"].workload_name.endswith("[healthy]")
 
-    def test_legacy_keywords_conflict_with_spec(self, setup):
-        jobs, spec, configs, engine = setup
-        with pytest.raises(TypeError, match="not both"):
-            engine.run(jobs, configs=configs, scenario=spec, recovery="abandon")
+# -- explicit failure traces ------------------------------------------------------
 
 
-# -- legacy translation -----------------------------------------------------------
-
-
-class TestLegacyTranslation:
-    def test_spec_from_legacy_round_trips_the_trace(self):
+class TestExplicitTrace:
+    def test_failure_model_trace_round_trips(self):
         from repro.failures.trace import mtbf_trace
 
         trace = mtbf_trace(
             total_nodes=NODES, horizon=30_000.0, mtbf=9_000.0, mttr=600.0, seed=31
         )
-        spec = spec_from_legacy(failures=trace, recovery="resubmit")
+        spec = ScenarioSpec(
+            (
+                FailureModel(
+                    trace=[(f.down_time, f.up_time, f.nodes) for f in trace],
+                    recovery="resubmit",
+                ),
+            )
+        )
         compiled = spec.compile(jobs_stream())
         assert compiled.failures.fingerprint() == trace.fingerprint()
         assert compiled.inputs.recovery == "resubmit"
-        assert spec_from_legacy() is None
-
-    def test_engine_legacy_and_translated_spec_share_cache_identity(self, tmp_path):
-        from repro.experiments.engine import ExperimentEngine
-        from repro.experiments.runner import SchedulerConfig
-        from repro.failures.trace import mtbf_trace
-
-        jobs = jobs_stream(40)
-        trace = mtbf_trace(
-            total_nodes=NODES, horizon=30_000.0, mtbf=9_000.0, mttr=600.0, seed=31
-        )
-        configs = [SchedulerConfig("fcfs", "easy")]
-        engine = ExperimentEngine(
-            workers=1, cache=tmp_path / "cache", handle_signals=False
-        )
-        legacy = engine.run(
-            jobs, total_nodes=NODES, configs=configs,
-            failures=trace, recovery="resubmit",
-        )
-        legacy_id = engine.stats.run_id
-        translated = engine.run(
-            jobs, total_nodes=NODES, configs=configs,
-            scenario=spec_from_legacy(failures=trace, recovery="resubmit"),
-        )
-        assert translated.fingerprints == legacy.fingerprints
-        assert engine.stats.run_id == legacy_id
-        assert engine.stats.cache_hits == len(configs)  # one identity, one cache
 
 
 # -- CLI ---------------------------------------------------------------------------

@@ -1,26 +1,21 @@
-"""The ``SimulationConfig`` / ``ScenarioInputs`` API and its deprecated shims.
+"""The ``SimulationConfig`` / ``ScenarioInputs`` API.
 
-PR 6 collapsed the keyword tails of ``Simulator(...)`` and
-``Simulator.run(...)`` into two frozen bundles.  This file pins the
-contract:
+``Simulator(...)`` takes its options as one frozen ``SimulationConfig``
+and ``Simulator.run(...)`` its fault-injection inputs as one
+``ScenarioInputs`` (or a ``ScenarioSpec``).  This file pins the contract:
 
-* the old loose keywords still work, emit ``DeprecationWarning``, and
-  produce bit-identical results to the bundled form;
-* the new surface is exported from ``repro`` / ``repro.core``;
+* the bundles are the only way in — the former loose keywords are gone,
+  and the bundled surface emits no ``DeprecationWarning``;
+* the surface is exported from ``repro`` / ``repro.core``;
 * the cache identity is pinned — ``CACHE_VERSION`` (bumped 3 → 4 when the
   scenario digest entered every fingerprint) and the fingerprint
-  algorithm reproduce committed digests byte-for-byte, with the backend
-  deliberately absent from a cell's identity (caches written under one
-  backend serve the other).
+  algorithm reproduce committed digests byte-for-byte.
 """
 
 import warnings
 
-import pytest
-
 from repro.core.machine import Machine
 from repro.core.simulator import (
-    Cancellation,
     ScenarioInputs,
     SimulationConfig,
     Simulator,
@@ -44,59 +39,13 @@ def _scheduler():
     return build_scheduler(config, NODES)
 
 
-def test_config_bundle_equals_legacy_keywords():
-    jobs = make_jobs(80, seed=17, max_nodes=NODES, mean_gap=40.0)
-    bundled = Simulator(
-        Machine(NODES),
-        _scheduler(),
-        SimulationConfig(cancel_over_limit=True, incremental_state=False),
-    ).run(jobs)
-    with pytest.deprecated_call():
-        legacy = Simulator(
-            Machine(NODES),
-            _scheduler(),
-            cancel_over_limit=True,
-            incremental_state=False,
-        ).run(jobs)
-    assert signature(legacy) == signature(bundled)
-
-
-def test_scenario_bundle_equals_legacy_keywords():
-    jobs = make_jobs(80, seed=19, max_nodes=NODES, mean_gap=40.0)
-    cancellations = [
-        Cancellation(time=job.submit_time + 60.0, job_id=job.job_id)
-        for job in jobs
-        if job.job_id % 6 == 0
-    ]
-    bundled = Simulator(Machine(NODES), _scheduler()).run(
-        jobs, scenario=ScenarioInputs(cancellations=cancellations)
-    )
-    with pytest.deprecated_call():
-        legacy = Simulator(Machine(NODES), _scheduler()).run(
-            jobs, cancellations=cancellations
-        )
-    assert signature(legacy) == signature(bundled)
-    assert legacy.cancelled_queued == bundled.cancelled_queued
-    assert legacy.killed_running == bundled.killed_running
-
-
-def test_scenario_and_legacy_keywords_conflict():
-    jobs = make_jobs(10, seed=2, max_nodes=NODES, mean_gap=40.0)
-    with pytest.raises(TypeError, match="not both"), pytest.deprecated_call():
-        Simulator(Machine(NODES), _scheduler()).run(
-            jobs, cancellations=[], scenario=ScenarioInputs()
-        )
-
-
 def test_new_surface_emits_no_deprecation_warnings():
     jobs = make_jobs(30, seed=29, max_nodes=NODES, mean_gap=40.0)
     with warnings.catch_warnings():
         warnings.simplefilter("error", DeprecationWarning)
-        Simulator(
-            Machine(NODES), _scheduler(), SimulationConfig(backend="python")
-        ).run(jobs, scenario=ScenarioInputs())
-        # The backend= convenience keyword is first-class, not deprecated.
-        Simulator(Machine(NODES), _scheduler(), backend="python").run(jobs)
+        Simulator(Machine(NODES), _scheduler(), SimulationConfig()).run(
+            jobs, scenario=ScenarioInputs()
+        )
         simulate(jobs, _scheduler(), NODES, config=SimulationConfig())
 
 
@@ -111,12 +60,11 @@ def test_config_properties_reflect_bundle():
             verify_state=3,
         ),
     )
-    assert sim.cancel_over_limit is True
-    assert sim.collect_trace is True
-    assert sim.incremental_state is False
-    assert sim.verify_state == 3
+    assert sim.config.cancel_over_limit is True
+    assert sim.config.collect_trace is True
+    assert sim.config.incremental_state is False
+    assert sim.config.verify_state == 3
     assert sim.trace is not None
-    assert sim.backend in ("python", "numpy")
 
 
 def test_exports():
@@ -126,8 +74,6 @@ def test_exports():
     for module in (repro, repro.core):
         assert module.SimulationConfig is SimulationConfig
         assert module.ScenarioInputs is ScenarioInputs
-        assert "python" in module.available_backends()
-        assert module.resolve_backend("python") == "python"
 
 
 # -- cache identity stability -----------------------------------------------------
@@ -178,25 +124,6 @@ def test_fingerprints_stable_across_redesign():
         digest, SchedulerConfig(row="fcfs", column="easy"),
         total_nodes=64, weighted=False, scenario="d" * 64,
     ) == "dad68d40b61ab61df707e60c42ae4ca2962e6b005710c4d36c81e37c4d472c65"
-
-
-def test_cache_hits_across_backends(tmp_path):
-    """A cache populated under one backend serves the other verbatim —
-    the backend is not part of a cell's identity."""
-    from repro.experiments.engine import ExperimentEngine
-
-    jobs = make_jobs(60, seed=31, max_nodes=NODES, mean_gap=40.0)
-    first = ExperimentEngine(cache=tmp_path / "cache", backend="python")
-    grid_py = first.run(jobs, total_nodes=NODES)
-    assert first.stats.simulated == len(grid_py.cells)
-    second = ExperimentEngine(cache=tmp_path / "cache", backend="numpy")
-    grid_np = second.run(jobs, total_nodes=NODES)
-    assert second.stats.simulated == 0
-    assert second.stats.cache_hits == len(grid_np.cells)
-    assert grid_np.fingerprints == grid_py.fingerprints
-    assert {k: v.objective for k, v in grid_np.cells.items()} == {
-        k: v.objective for k, v in grid_py.cells.items()
-    }
 
 
 def test_packed_numpy_views_cached_per_instance():

@@ -6,9 +6,10 @@ from hypothesis import strategies as st
 
 from repro.core.job import Job
 from repro.core.machine import Machine
-from repro.core.simulator import Simulator, simulate
+from repro.core.simulator import SimulationConfig, Simulator, simulate
 from repro.schedulers.fcfs import FCFSScheduler
 from repro.schedulers.garey_graham import GareyGrahamScheduler
+from repro.schedulers.registry import build_scheduler, registered_configurations
 from tests.conftest import make_jobs
 
 
@@ -91,7 +92,9 @@ class TestOnlineSemantics:
     def test_cancel_over_limit(self):
         jobs = [J(0, 0.0, 4, runtime=100.0, estimate=10.0)]
         machine = Machine(8)
-        res = Simulator(machine, FCFSScheduler.plain(), cancel_over_limit=True).run(jobs)
+        res = Simulator(
+            machine, FCFSScheduler.plain(), SimulationConfig(cancel_over_limit=True)
+        ).run(jobs)
         assert res.schedule[0].cancelled
         assert res.schedule[0].end_time == 10.0
 
@@ -120,7 +123,9 @@ class TestDiagnostics:
 
     def test_trace_collection(self):
         machine = Machine(64)
-        sim = Simulator(machine, FCFSScheduler.plain(), collect_trace=True)
+        sim = Simulator(
+            machine, FCFSScheduler.plain(), SimulationConfig(collect_trace=True)
+        )
         sim.run(make_jobs(10, seed=1, max_nodes=8))
         assert sim.trace is not None
         assert len(sim.trace.queue_lengths) > 0
@@ -136,3 +141,22 @@ def test_every_job_scheduled_validly(seed, n):
         res = simulate(jobs, scheduler, 64)
         assert len(res.schedule) == n
         res.schedule.validate(64)
+
+
+def test_phase_seconds_breakdown_present():
+    """With ``profile_phases`` the wall clock is attributed: the phase
+    breakdown sums to (at most) the total."""
+    jobs = make_jobs(100, seed=7, max_nodes=64, mean_gap=25.0)
+    config = next(iter(registered_configurations()))
+    result = Simulator(
+        Machine(64), build_scheduler(config, 64), SimulationConfig(profile_phases=True)
+    ).run(jobs)
+    phases = result.phase_seconds
+    for key in ("total", "decide", "events", "commit", "other"):
+        assert key in phases
+        assert phases[key] >= 0.0
+    assert phases["decide"] + phases["events"] + phases["commit"] <= phases["total"] + 1e-9
+    # Without ``profile_phases`` only the cheap breakdown is collected (no
+    # extra clock reads on the hot loop).
+    plain = Simulator(Machine(64), build_scheduler(config, 64)).run(jobs)
+    assert set(plain.phase_seconds) == {"total", "decide"}

@@ -3,9 +3,9 @@
 The whole point of :class:`~repro.core.state.SchedulingState` is that it is
 an *optimisation*, not an algorithm change: every paper configuration must
 produce bit-identical schedules whether the simulator maintains incremental
-state (``incremental_state=True``, the default) or hands schedulers fresh
-``from_running`` rebuilds (``incremental_state=False``, the reference
-oracle).  This file asserts exactly that, over
+state (``SimulationConfig(incremental_state=True)``, the default) or hands
+schedulers fresh ``from_running`` rebuilds (``incremental_state=False``,
+the reference oracle).  This file asserts exactly that, over
 
 * every cell of the scheduler registry, in both objective regimes,
 * slack backfilling (the continuum between the paper's two variants),
@@ -21,7 +21,12 @@ file with ``REPRO_VERIFY_STATE=1`` so the in-simulation checks are doubled.
 import pytest
 
 from repro.core.machine import Machine
-from repro.core.simulator import Cancellation, Simulator
+from repro.core.simulator import (
+    Cancellation,
+    ScenarioInputs,
+    SimulationConfig,
+    Simulator,
+)
 from repro.failures import FailureTrace, audit_run, mtbf_trace
 from repro.schedulers.base import OrderedQueueScheduler, SubmitOrderPolicy
 from repro.schedulers.drain import DrainingScheduler, Reservation
@@ -39,12 +44,19 @@ def signature(result):
     ]
 
 
-def assert_equivalent(make_scheduler, jobs, *, nodes=NODES, **kwargs):
+REFERENCE = SimulationConfig(incremental_state=False)
+
+
+def assert_equivalent(make_scheduler, jobs, *, nodes=NODES, **config):
     # verify_state is left at None so the incremental run picks up the
     # REPRO_VERIFY_STATE cadence — the CI verify-state job sets it to 1.
-    incremental = Simulator(Machine(nodes), make_scheduler(), **kwargs).run(jobs)
+    incremental = Simulator(
+        Machine(nodes), make_scheduler(), SimulationConfig(**config)
+    ).run(jobs)
     reference = Simulator(
-        Machine(nodes), make_scheduler(), incremental_state=False, **kwargs
+        Machine(nodes),
+        make_scheduler(),
+        SimulationConfig(incremental_state=False, **config),
     ).run(jobs)
     assert signature(incremental) == signature(reference)
     assert incremental.cancelled_queued == reference.cancelled_queued
@@ -98,15 +110,14 @@ def test_cancellation_stream_bit_identical():
         for job in jobs
         if job.job_id % 7 == 0
     ]
+    scenario = ScenarioInputs(cancellations=cancellations)
     for config in registered_configurations():
         incremental = Simulator(
             Machine(NODES), build_scheduler(config, NODES)
-        ).run(jobs, cancellations=cancellations)
+        ).run(jobs, scenario=scenario)
         reference = Simulator(
-            Machine(NODES),
-            build_scheduler(config, NODES),
-            incremental_state=False,
-        ).run(jobs, cancellations=cancellations)
+            Machine(NODES), build_scheduler(config, NODES), REFERENCE
+        ).run(jobs, scenario=scenario)
         assert signature(incremental) == signature(reference), config.key
         assert incremental.cancelled_queued == reference.cancelled_queued
         assert incremental.killed_running == reference.killed_running
@@ -138,7 +149,10 @@ def test_empty_failure_trace_bit_identical_to_no_failures(config):
     jobs = make_jobs(150, seed=23, max_nodes=NODES, mean_gap=40.0)
     plain = Simulator(Machine(NODES), build_scheduler(config, NODES)).run(jobs)
     injected = Simulator(Machine(NODES), build_scheduler(config, NODES)).run(
-        jobs, failures=FailureTrace(), recovery="checkpoint:interval=60,overhead=5"
+        jobs,
+        scenario=ScenarioInputs(
+            failures=FailureTrace(), recovery="checkpoint:interval=60,overhead=5"
+        ),
     )
     assert signature(injected) == signature(plain)
     assert injected.decision_points == plain.decision_points
@@ -178,13 +192,14 @@ def test_failure_injection_bit_identical(recovery):
         max_nodes_per_failure=4,
     )
     assert len(trace) > 0
+    scenario = ScenarioInputs(failures=trace, recovery=recovery)
     for config in registered_configurations():
         incremental = Simulator(Machine(NODES), build_scheduler(config, NODES)).run(
-            jobs, failures=trace, recovery=recovery
+            jobs, scenario=scenario
         )
         reference = Simulator(
-            Machine(NODES), build_scheduler(config, NODES), incremental_state=False
-        ).run(jobs, failures=trace, recovery=recovery)
+            Machine(NODES), build_scheduler(config, NODES), REFERENCE
+        ).run(jobs, scenario=scenario)
         assert _failure_signature(incremental) == _failure_signature(reference), (
             config.key
         )
@@ -207,8 +222,10 @@ def test_verified_run_with_failures_stays_clean():
     assert len(trace) > 0
     for config in registered_configurations():
         result = Simulator(
-            Machine(NODES), build_scheduler(config, NODES), verify_state=1
-        ).run(jobs, failures=trace, recovery="resubmit")
+            Machine(NODES),
+            build_scheduler(config, NODES),
+            SimulationConfig(verify_state=1),
+        ).run(jobs, scenario=ScenarioInputs(failures=trace, recovery="resubmit"))
         audit_run(result, jobs, trace, NODES, recovery="resubmit")
 
 
@@ -217,11 +234,11 @@ def test_verified_run_stays_clean():
     jobs = make_jobs(150, seed=47, max_nodes=NODES, mean_gap=40.0)
     for config in registered_configurations():
         result = Simulator(
-            Machine(NODES), build_scheduler(config, NODES), verify_state=1
-        ).run(jobs)
-        reference = Simulator(
             Machine(NODES),
             build_scheduler(config, NODES),
-            incremental_state=False,
+            SimulationConfig(verify_state=1),
+        ).run(jobs)
+        reference = Simulator(
+            Machine(NODES), build_scheduler(config, NODES), REFERENCE
         ).run(jobs)
         assert signature(result) == signature(reference), config.key

@@ -1,32 +1,27 @@
-"""Bit-identity of the numpy backend against the pure-Python oracle.
+"""Bit-identity of the columnar objective kernels against the scalar loops.
 
-The vectorised kernels of :mod:`repro.core.vector` are an *optimisation*,
-never an algorithm change: ``backend="numpy"`` must reproduce the Python
-oracle's :class:`~repro.core.simulator.SimulationResult` bit for bit —
-same schedules, same objectives in the last ulp, same resilience metrics —
-over
+The simulator accumulates every finished record into a
+:class:`~repro.core.vector.ResultColumns` and the experiment runner
+reduces those columns with the NumPy kernels of :mod:`repro.core.vector`.
+The kernels must equal the scalar loops of
+:mod:`repro.metrics.objectives` *bit for bit* — an ulp of drift would
+change objectives and invalidate every cached cell — and the columns must
+mirror the schedule row for row, including the records written by the
+cancellation, over-limit and failure-kill paths.  Covered here over
 
 * every cell of the scheduler registry, in both objective regimes,
 * streams with queued and running cancellations,
 * the estimate-limit kill policy (``cancel_over_limit``),
 * failure traces under every recovery policy, and
-* the columnar objective kernels (``ResultColumns`` reductions vs the
-  scalar ``objectives`` loops).
-
-It must also degrade cleanly: with the numpy import blocked, ``"auto"``
-falls back to the Python backend and an explicit ``"numpy"`` request
-raises.  The CI ``vector-equivalence`` job runs this file with
-``REPRO_BACKEND=numpy`` forced so the fast path cannot silently fall back.
+* simultaneous submissions.
 """
 
-import sys
 from dataclasses import replace
 
 import pytest
 
 from repro.core import vector
 from repro.core.machine import Machine
-from repro.core.profile import AvailabilityProfile
 from repro.core.simulator import (
     Cancellation,
     ScenarioInputs,
@@ -44,62 +39,33 @@ from tests.conftest import make_jobs
 NODES = 64
 
 
-def signature(result):
-    return [
-        (item.job.job_id, item.start_time, item.end_time, item.cancelled)
-        for item in result.schedule
-    ]
-
-
-def full_signature(result):
-    return (
-        signature(result),
-        result.decision_points,
-        result.max_queue_length,
-        result.end_time,
-        result.cancelled_queued,
-        result.killed_running,
-        result.failure_killed,
-        [
-            (item.job.job_id, item.start_time, item.end_time)
-            for item in result.interrupted
-        ],
-        result.lost_node_seconds,
-        result.wasted_node_seconds,
-        result.requeue_delay,
+def run_checked(make_scheduler, jobs, *, config=None, scenario=None):
+    """Run one cell; assert its columns mirror the schedule and reduce to
+    the scalar objectives exactly."""
+    result = Simulator(Machine(NODES), make_scheduler(), config).run(
+        jobs, scenario=scenario
     )
-
-
-def run_both(make_scheduler, jobs, *, config=None, scenario=None):
-    """Run oracle and fast path; assert full bit-identity, return the pair."""
-    config = config or SimulationConfig()
-    oracle = Simulator(
-        Machine(NODES), make_scheduler(), replace(config, backend="python")
-    ).run(jobs, scenario=scenario)
-    fast = Simulator(
-        Machine(NODES), make_scheduler(), replace(config, backend="numpy")
-    ).run(jobs, scenario=scenario)
-    assert full_signature(fast) == full_signature(oracle)
-    assert oracle.columns is None
-    assert fast.columns is not None and len(fast.columns) == len(fast.schedule)
-    return oracle, fast
+    columns = result.columns
+    assert len(columns) == len(result.schedule)
+    views = columns.views()
+    assert list(
+        zip(views["submit"].tolist(), views["start"].tolist(), views["end"].tolist())
+    ) == [(i.job.submit_time, i.start_time, i.end_time) for i in result.schedule]
+    assert views["area"].tolist() == [i.job.area for i in result.schedule]
+    assert vector.average_response_time_columns(columns) == (
+        average_response_time(result.schedule)
+    )
+    assert vector.average_weighted_response_time_columns(columns) == (
+        average_weighted_response_time(result.schedule)
+    )
+    return result
 
 
 @pytest.mark.parametrize("weighted", [False, True], ids=["unweighted", "weighted"])
 @pytest.mark.parametrize("config", registered_configurations(), ids=lambda c: c.key)
 def test_registry_cells_bit_identical(config, weighted):
     jobs = make_jobs(150, seed=23, max_nodes=NODES, mean_gap=40.0)
-    _, fast = run_both(
-        lambda: build_scheduler(config, NODES, weighted=weighted), jobs
-    )
-    # The columnar objective kernels must equal the scalar loops exactly —
-    # np.add.accumulate is sequential, so not a single ulp of drift.
-    assert vector.average_response_time_columns(fast.columns) == (
-        average_response_time(fast.schedule)
-    )
-    assert vector.average_weighted_response_time_columns(fast.columns) == (
-        average_weighted_response_time(fast.schedule)
-    )
+    run_checked(lambda: build_scheduler(config, NODES, weighted=weighted), jobs)
 
 
 def test_cancellation_stream_bit_identical():
@@ -111,9 +77,10 @@ def test_cancellation_stream_bit_identical():
     ]
     scenario = ScenarioInputs(cancellations=cancellations)
     for config in registered_configurations():
-        run_both(
+        result = run_checked(
             lambda: build_scheduler(config, NODES), jobs, scenario=scenario
         )
+        assert result.killed_running or result.cancelled_queued
 
 
 def test_over_limit_kills_bit_identical():
@@ -124,9 +91,10 @@ def test_over_limit_kills_bit_identical():
     ]
     config = SimulationConfig(cancel_over_limit=True)
     for scheduler_config in registered_configurations():
-        run_both(
+        result = run_checked(
             lambda: build_scheduler(scheduler_config, NODES), jobs, config=config
         )
+        assert any(item.cancelled for item in result.schedule)
 
 
 @pytest.mark.parametrize(
@@ -145,129 +113,27 @@ def test_failure_injection_bit_identical(recovery):
     assert len(trace) > 0
     scenario = ScenarioInputs(failures=trace, recovery=recovery)
     for config in registered_configurations():
-        _, fast = run_both(
+        result = run_checked(
             lambda: build_scheduler(config, NODES), jobs, scenario=scenario
         )
-        # The fast path's schedule passes the same independent audit.
-        fast.schedule.validate(NODES, capacity=trace.capacity_steps(NODES))
-        audit_run(fast, jobs, trace, NODES, recovery=recovery)
+        result.schedule.validate(NODES, capacity=trace.capacity_steps(NODES))
+        audit_run(result, jobs, trace, NODES, recovery=recovery)
 
 
 def test_simultaneous_submissions_bit_identical():
-    """Equal submit times force the merged feed to break ties by job id —
-    the exact case where a sloppy lexsort would diverge from the oracle."""
+    """Equal submit times: the feed breaks ties by job id, and the columns
+    still follow the schedule's completion order."""
     jobs = make_jobs(80, seed=71, max_nodes=NODES, mean_gap=40.0)
     jobs = [replace(job, submit_time=float(int(job.submit_time) // 200 * 200)) for job in jobs]
     for config in registered_configurations():
-        run_both(lambda: build_scheduler(config, NODES), jobs)
+        run_checked(lambda: build_scheduler(config, NODES), jobs)
 
 
-# -- the batched first-fit kernel ------------------------------------------------
-
-
-def test_batch_kernel_matches_scalar_over_random_profiles():
-    """Property test: the 2-D first-fit kernel equals the scalar batch on
-    profiles shaped like real simulation snapshots."""
-    import random
-
-    rng = random.Random(97)
-    for trial in range(30):
-        total = rng.choice([16, 64, 256])
-        profile = AvailabilityProfile(total, origin=rng.uniform(0.0, 1000.0))
-        for _ in range(rng.randrange(0, 40)):
-            nodes = rng.randrange(1, total + 1)
-            start = profile.origin + rng.uniform(0.0, 5000.0)
-            duration = rng.uniform(1.0, 2000.0)
-            if profile.free_at(start) >= nodes:
-                try:
-                    profile.reserve(start, duration, nodes)
-                except ValueError:
-                    pass  # a later segment dipped below; irrelevant here
-        requests = [
-            (rng.randrange(1, total + 1), rng.uniform(0.0, 3000.0))
-            for _ in range(rng.randrange(1, 25))
-        ]
-        after = (
-            None
-            if rng.random() < 0.5
-            else profile.origin + rng.uniform(-100.0, 4000.0)
-        )
-        scalar = profile.earliest_start_batch(requests, after)
-        vectorised = vector.earliest_start_batch(profile, requests, after)
-        assert vectorised == scalar, (trial, requests, after)
-
-
-def test_batch_kernel_rejects_oversized_requests():
-    profile = AvailabilityProfile(8)
-    with pytest.raises(ValueError, match="never fit"):
-        vector.earliest_start_batch(profile, [(4, 10.0), (9, 10.0)])
-
-
-def test_profile_batch_backend_dispatch():
-    profile = AvailabilityProfile(32)
-    profile.reserve(0.0, 100.0, 20)
-    requests = [(16, 50.0), (32, 10.0), (1, 500.0)]
-    assert profile.earliest_start_batch(requests, backend="numpy") == (
-        profile.earliest_start_batch(requests)
-    )
-
-
-# -- backend resolution and the no-numpy fallback --------------------------------
-
-
-def test_resolve_backend_env_override(monkeypatch):
-    monkeypatch.setenv(vector.ENV_BACKEND, "python")
+def test_resolve_backend_names_the_one_loop(monkeypatch):
+    """The stand-in answers with the one event loop's name and ignores the
+    environment variable that used to select a backend."""
+    monkeypatch.setenv("REPRO_BACKEND", "numpy")
     assert vector.resolve_backend(None) == "python"
-    monkeypatch.setenv(vector.ENV_BACKEND, "numpy")
-    assert vector.resolve_backend(None) == "numpy"
-    # An explicit argument beats the environment.
-    assert vector.resolve_backend("python") == "python"
-    monkeypatch.setenv(vector.ENV_BACKEND, "bogus")
-    with pytest.raises(ValueError, match="unknown simulation backend"):
-        vector.resolve_backend(None)
-
-
-def test_resolve_backend_rejects_unknown():
-    with pytest.raises(ValueError, match="unknown simulation backend"):
-        vector.resolve_backend("fortran")
-
-
-def test_no_numpy_fallback(monkeypatch):
-    """With the numpy import blocked, auto falls back to python and an
-    explicit numpy request fails loudly instead of silently degrading."""
-    monkeypatch.delenv(vector.ENV_BACKEND, raising=False)
-    monkeypatch.setitem(sys.modules, "numpy", None)
-    assert vector.numpy_or_none() is None
-    assert vector.available_backends() == ("python",)
-    assert vector.resolve_backend("auto") == "python"
-    assert vector.resolve_backend(None) == "python"
-    with pytest.raises(RuntimeError, match="numpy is not importable"):
-        vector.resolve_backend("numpy")
-    # A simulation still runs end to end on the fallback.
-    jobs = make_jobs(40, seed=3, max_nodes=NODES, mean_gap=40.0)
-    config = next(iter(registered_configurations()))
-    result = Simulator(
-        Machine(NODES),
-        build_scheduler(config, NODES),
-        SimulationConfig(backend="auto"),
-    ).run(jobs)
-    assert result.columns is None
-    assert len(result.schedule) == len(jobs)
-
-
-def test_simulator_env_backend(monkeypatch):
-    """REPRO_BACKEND steers an unconfigured Simulator."""
-    monkeypatch.setenv(vector.ENV_BACKEND, "numpy")
-    jobs = make_jobs(40, seed=5, max_nodes=NODES, mean_gap=40.0)
-    config = next(iter(registered_configurations()))
-    result = Simulator(Machine(NODES), build_scheduler(config, NODES)).run(jobs)
-    assert result.columns is not None
-    monkeypatch.setenv(vector.ENV_BACKEND, "python")
-    result = Simulator(Machine(NODES), build_scheduler(config, NODES)).run(jobs)
-    assert result.columns is None
-
-
-# -- columnar metric kernels ------------------------------------------------------
 
 
 def test_exact_sum_matches_python_sum():
@@ -282,9 +148,7 @@ def test_exact_sum_matches_python_sum():
 def test_result_columns_from_schedule_matches_run_columns():
     jobs = make_jobs(60, seed=13, max_nodes=NODES, mean_gap=40.0)
     config = next(iter(registered_configurations()))
-    result = Simulator(
-        Machine(NODES), build_scheduler(config, NODES), backend="numpy"
-    ).run(jobs)
+    result = Simulator(Machine(NODES), build_scheduler(config, NODES)).run(jobs)
     rebuilt = vector.ResultColumns.from_schedule(result.schedule)
     assert rebuilt.views()["end"].tolist() == result.columns.views()["end"].tolist()
     assert vector.average_response_time_columns(rebuilt) == (
